@@ -200,7 +200,6 @@ def cmd_baseline(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (single-process build)")
 
 
 def build_parser() -> argparse.ArgumentParser:

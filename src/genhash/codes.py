@@ -27,6 +27,13 @@ def n_words(l: int) -> int:
     return (l + WORD_BITS - 1) // WORD_BITS
 
 
+def check_padding(words, l: int):
+    """Raise InputError if a padding bit beyond l is set in (..., n_words(l)) words."""
+    pad = n_words(l) * WORD_BITS - l
+    if pad and np.any(words[..., -1] >> np.uint64(WORD_BITS - pad)):
+        raise InputError("padding bits beyond the code length must be zero")
+
+
 def pack_bits(bits) -> np.ndarray:
     """Pack a (..., l) array of 0/1 bits into (..., ceil(l/64)) uint64 words."""
     bits = np.asarray(bits)
@@ -76,9 +83,7 @@ class HashCode:
                 f"expected {n_words(self.l)} words for {self.l} bits, "
                 f"got shape {self.words.shape}"
             )
-        pad = n_words(self.l) * WORD_BITS - self.l
-        if pad and (self.words[-1] >> np.uint64(WORD_BITS - pad)) != 0:
-            raise InputError("padding bits beyond the code length must be zero")
+        check_padding(self.words, self.l)
 
     @classmethod
     def from_bits(cls, bits) -> "HashCode":

@@ -253,6 +253,15 @@ def save_checkpoint(path, model, center_mean=None):
         f.write(struct.pack("<Q", fnv1a_64(payload)))
 
 
+def _payload_size(kind: str, d: int, l: int) -> int:
+    """Bytes of payload that save_checkpoint writes for (kind, d, l)."""
+    if kind == KIND_SGH:
+        return 8 * (2 * d * l + l + 1 + d) + 1  # W, U, beta, log_rho, mean; centred flag
+    if kind == KIND_ITQ:
+        return 8 * (d + d * l + l * l + l)  # mean, W_pca, R, scale
+    return 8 * (d + d * l)  # mean, W_pca
+
+
 def _take(buf: memoryview, count: int, shape):
     n_bytes = 8 * count
     arr = np.frombuffer(buf[:n_bytes], dtype="<f8").reshape(shape).copy()
@@ -282,7 +291,18 @@ def load_checkpoint(path, expect_kind=None):
     kind = _TAG_KINDS[tag]
     if expect_kind is not None and kind != expect_kind:
         raise FormatError(f"{path}: checkpoint holds a {kind} model, expected {expect_kind}")
+    # the header is outside the checksum: check it against the payload
+    # before any block is read from it
+    domains = len(CODE_DOMAINS) if kind == KIND_SGH else 1
+    if domain >= domains:
+        raise FormatError(f"{path}: bad code domain byte {domain} for a {kind} checkpoint")
     payload = raw[head_size:-8]
+    expected = _payload_size(kind, d, l)
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: payload is {len(payload)} bytes, but a {kind} checkpoint with "
+            f"d={d}, l={l} holds {expected}"
+        )
     (stored,) = struct.unpack("<Q", raw[-8:])
     if fnv1a_64(payload) != stored:
         raise FormatError(f"{path}: checksum mismatch; file is corrupted")

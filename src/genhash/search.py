@@ -1,24 +1,23 @@
 """Linear-scan retrieval over bit-packed codes, plus exact ground-truth scans.
 
 Hamming distances are popcounts of XORed 64-bit words. All rankings break
-ties by ascending id so results are deterministic; top-n selection uses an
-O(N) partition on a composite (distance, id) key rather than a full sort.
-Indexes are immutable after construction and queries are pure, so batch
-queries may run in parallel over the query axis.
+ties by ascending id so results are deterministic. Hamming top-n finds the
+cut distance (the n-th smallest) with an O(N) partition, keeps every code
+closer than the cut plus the lowest ids at the cut, and sorts only those n
+candidates. Indexes are immutable after construction and queries are pure,
+so batch queries may run in parallel over the query axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PLUS_MINUS, HashCode, n_words, unpack_bits
+from .codes import PLUS_MINUS, HashCode, check_padding, n_words, unpack_bits
 from .errors import InputError
 from .model import ModelParams
 
-# distances accumulate in 32-bit ints; 64-bit ids share a selection key with
-# a 16-bit distance field, so cap the code length
+# sanity cap on the code length; distances are returned as int32
 MAX_BITS = 4096
-_ID_BITS = 48
 
 
 @dataclass
@@ -38,11 +37,7 @@ class BinaryIndex:
             )
         if not 1 <= self.l <= MAX_BITS:
             raise InputError(f"code length must lie in [1, {MAX_BITS}]")
-        if len(self) >= (1 << _ID_BITS):
-            raise InputError("index too large for the selection key")
-        pad = n_words(self.l) * 64 - self.l
-        if pad and np.any(self.codes[:, -1] >> np.uint64(64 - pad)):
-            raise InputError("padding bits beyond the code length must be zero")
+        check_padding(self.codes, self.l)
         if self.ids is not None:
             self.ids = np.asarray(self.ids)
             if self.ids.shape != (len(self),):
@@ -69,42 +64,64 @@ def hamming_scan(index: BinaryIndex, query: HashCode) -> np.ndarray:
     """Hamming distance from the query to every code, as (N,) int32."""
     if query.l != index.l:
         raise InputError(f"query length {query.l} != index length {index.l}")
-    diff = index.codes ^ query.words[None, :]
-    return np.bitwise_count(diff).sum(axis=1, dtype=np.int32)
+    return _scan(index.codes, query.words)
 
 
-def _select_smallest(keys: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the n smallest keys, in ascending key order."""
-    count = len(keys)
-    n = min(n, count)
+def _scan(codes: np.ndarray, words: np.ndarray) -> np.ndarray:
+    if codes.shape[1] == 1:
+        return np.bitwise_count(codes[:, 0] ^ words[0]).astype(np.int32)
+    return np.bitwise_count(codes ^ words).sum(axis=1, dtype=np.int32)
+
+
+def _check_n(n: int):
+    if n < 0:
+        raise InputError(f"the number of results must be non-negative, got {n}")
+
+
+def _select_nearest(dist: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n smallest distances, ascending, ties by position.
+
+    Every position closer than the cut (the n-th smallest distance) is
+    kept; the lowest positions at the cut fill the remaining slots. Only
+    those n candidates are sorted.
+    """
+    n = min(n, len(dist))
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if n < count:
-        part = np.argpartition(keys, n - 1)[:n]
+    if n < len(dist):
+        cut = np.partition(dist, n - 1)[n - 1]
+        part = np.flatnonzero(dist <= cut)
+        if len(part) > n:
+            near = dist[part]
+            below = part[near < cut]
+            part = np.concatenate([below, part[near == cut][: n - len(below)]])
     else:
-        part = np.arange(count)
-    return part[np.argsort(keys[part], kind="stable")]
+        part = np.arange(len(dist))
+    return part[np.argsort(dist[part], kind="stable")]
 
 
 def knn_hamming(index: BinaryIndex, query: HashCode, n: int) -> np.ndarray:
     """Ids of the n nearest codes by Hamming distance, ties by ascending id."""
-    dist = hamming_scan(index, query)
-    pos = np.arange(len(index), dtype=np.uint64)
-    keys = (dist.astype(np.uint64) << np.uint64(_ID_BITS)) | pos
-    return index.external_ids(_select_smallest(keys, n))
+    _check_n(n)
+    return index.external_ids(_select_nearest(hamming_scan(index, query), n))
 
 
 def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.ndarray:
     """knn_hamming over a (Q, words) array of packed queries; (Q, min(n,N)) ids."""
+    _check_n(n)
     queries = np.ascontiguousarray(queries, dtype=np.uint64)
     if queries.ndim != 2 or queries.shape[1] != n_words(index.l):
         raise InputError(f"queries must be (Q, {n_words(index.l)}) packed words")
-    out = [knn_hamming(index, HashCode(q, index.l), n) for q in queries]
-    return np.stack(out) if out else np.empty((0, 0), dtype=np.int64)
+    check_padding(queries, index.l)
+    out = np.empty((len(queries), min(n, len(index))), dtype=np.int64)
+    for row, words in zip(out, queries):
+        row[:] = _select_nearest(_scan(index.codes, words), n)
+    return index.external_ids(out)
 
 
 def knn_exact_l2(dataset, query, k: int) -> np.ndarray:
     """Brute-force squared-Euclidean top-k, ascending distance, ties by id."""
+    _check_n(k)
     rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     if rows.ndim != 2 or query.shape != (rows.shape[1],):
@@ -115,6 +132,7 @@ def knn_exact_l2(dataset, query, k: int) -> np.ndarray:
 
 def knn_exact_ip(dataset, query, k: int) -> np.ndarray:
     """Brute-force inner-product top-k, descending score, ties by id."""
+    _check_n(k)
     rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     if rows.ndim != 2 or query.shape != (rows.shape[1],):
@@ -146,6 +164,7 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
     bits (sign-weighted under the plus-minus domain). Descending score, ties
     by ascending id.
     """
+    _check_n(n)
     if params.l != index.l:
         raise InputError(f"model code length {params.l} != index length {index.l}")
     query = np.asarray(query, dtype=np.float64)

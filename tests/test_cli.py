@@ -4,6 +4,8 @@ import pytest
 from genhash import data_io
 from genhash.cli import main
 
+from conftest import write_corrupt_checkpoint
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -60,6 +62,22 @@ def test_corrupt_checkpoint_exits_3(tmp_path):
     path.write_bytes(b"not a checkpoint at all, definitely")
     assert run("encode", "--ckpt", path, "--data", "n=10,d=4,clusters=2,spread=1.0",
                "--format", "synth", "--out", tmp_path / "c.bin") == 3
+
+
+@pytest.mark.parametrize("kind", ["SGH", "ITQ", "PCA"])
+@pytest.mark.parametrize("corruption", ["d+1", "l+1", "domain"])
+def test_corrupt_checkpoint_header_exits_3(tmp_path, rng, kind, corruption):
+    path = tmp_path / "model.ckpt"
+    write_corrupt_checkpoint(path, kind, corruption, rng)
+    assert run("encode", "--ckpt", path, "--data", "n=10,d=6,clusters=2,spread=1.0",
+               "--format", "synth", "--out", tmp_path / "c.bin") == 3
+
+
+def test_threads_flag_removed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("encode", "--ckpt", tmp_path / "m.ckpt", "--data", "x", "--format", "fvecs",
+            "--out", tmp_path / "c.bin", "--threads", "2")
+    assert exc.value.code == 2
 
 
 def test_encode_empty_dataset(tmp_path):

@@ -24,7 +24,7 @@ from genhash.data_io import (
 )
 from genhash.errors import FormatError, InputError
 
-from conftest import random_params
+from conftest import HEADER_CORRUPTIONS, checkpoint_model, random_params, write_corrupt_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,26 @@ def test_checkpoint_version_rejected(tmp_path, rng):
     raw[8] = 99  # bump the version field
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["SGH", "ITQ", "PCA"])
+@pytest.mark.parametrize("corruption", sorted(HEADER_CORRUPTIONS))
+def test_checkpoint_header_corruption_rejected(tmp_path, rng, kind, corruption):
+    path = tmp_path / "model.ckpt"
+    write_corrupt_checkpoint(path, kind, corruption, rng)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["ITQ", "PCA"])
+def test_checkpoint_baseline_domain_must_be_zero(tmp_path, rng, kind):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, checkpoint_model(kind, rng))
+    raw = bytearray(path.read_bytes())
+    raw[13] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="domain"):
         load_checkpoint(path)
 
 

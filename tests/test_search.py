@@ -8,6 +8,7 @@ from genhash.search import (
     BinaryIndex,
     asymmetric_ip_search,
     hamming_distance,
+    hamming_scan,
     knn_exact_ip,
     knn_exact_l2,
     knn_hamming,
@@ -111,6 +112,104 @@ def test_knn_hamming_batch_matches_single(rng):
     batch = knn_hamming_batch(index, packed, 7)
     for i in range(5):
         assert np.array_equal(batch[i], knn_hamming(index, HashCode(packed[i], 24), 7))
+
+
+def _composite_key_knn(index, query, n):
+    """Reference top-n: partition and stable sort on (distance << 48) | position."""
+    dist = np.bitwise_count(index.codes ^ query.words[None, :]).sum(axis=1, dtype=np.int32)
+    keys = (dist.astype(np.uint64) << np.uint64(48)) | np.arange(len(index), dtype=np.uint64)
+    n = min(n, len(keys))
+    if n == 0:
+        return index.external_ids(np.empty(0, dtype=np.int64))
+    part = np.argpartition(keys, n - 1)[:n] if n < len(keys) else np.arange(len(keys))
+    return index.external_ids(part[np.argsort(keys[part], kind="stable")])
+
+
+def _tied_bits(rng, kind, count, l):
+    if kind == "random":
+        return rng.random((count, l)) < 0.5
+    if kind == "six-patterns":
+        return (rng.random((6, l)) < 0.5)[rng.integers(0, 6, count)]
+    return np.repeat(rng.random((1, l)) < 0.5, count, axis=0)  # all identical
+
+
+@pytest.mark.parametrize("l", [8, 64, 70, 130])
+@pytest.mark.parametrize("kind", ["random", "six-patterns", "identical"])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_knn_hamming_matches_composite_key_reference(rng, l, kind, with_ids):
+    count = 2000
+    bits = _tied_bits(rng, kind, count, l)
+    ids = rng.permutation(count) * 3 + 7 if with_ids else None
+    index = BinaryIndex(pack_bits(bits), l, ids=ids)
+    queries = pack_bits(np.concatenate([rng.random((2, l)) < 0.5, bits[:1]]))
+    for words in queries:
+        query = HashCode(words, l)
+        dist = hamming_scan(index, query)
+        cut = np.sort(dist)[count // 2]
+        tie_group = int(np.sum(dist == cut))
+        sizes = {0, 1, tie_group, int(np.sum(dist < cut)) + 1, count, count + 5}
+        for n in sorted(sizes):
+            expected = _composite_key_knn(index, query, n)
+            got = knn_hamming(index, query, n)
+            assert np.array_equal(got, expected), (n, tie_group)
+    batch = knn_hamming_batch(index, queries, tie_group)
+    for words, row in zip(queries, batch):
+        assert np.array_equal(row, _composite_key_knn(index, HashCode(words, l), tie_group))
+
+
+@pytest.mark.parametrize("l", [8, 64])
+def test_hamming_scan_one_word_path_equals_multi_word(rng, l):
+    bits = rng.random((300, l)) < 0.5
+    qbits = rng.random(l) < 0.5
+    one = hamming_scan(BinaryIndex(pack_bits(bits), l), HashCode.from_bits(qbits))
+    # the same codes padded with zero bits to two words take the multi-word path
+    pad = np.zeros((300, 128 - l), dtype=bool)
+    multi = hamming_scan(
+        BinaryIndex(pack_bits(np.hstack([bits, pad])), 128),
+        HashCode.from_bits(np.concatenate([qbits, pad[0]])),
+    )
+    assert one.dtype == np.int32 and multi.dtype == np.int32
+    assert one.shape == (300,)
+    assert np.array_equal(one, multi)
+    assert np.array_equal(one, (bits != qbits).sum(axis=1))
+
+
+def test_knn_hamming_batch_empty_and_zero_n(rng):
+    index, _ = _random_index(rng, 30, 70)
+    empty = knn_hamming_batch(index, np.empty((0, 2), dtype=np.uint64), 7)
+    assert empty.shape == (0, 7)
+    packed = pack_bits(rng.random((3, 70)) < 0.5)
+    assert knn_hamming_batch(index, packed, 0).shape == (3, 0)
+    assert knn_hamming_batch(index, packed, 50).shape == (3, 30)
+
+
+def test_knn_hamming_batch_rejects_dirty_padding(rng):
+    index, _ = _random_index(rng, 10, 70)
+    packed = pack_bits(rng.random((4, 70)) < 0.5)
+    packed[2, 1] |= np.uint64(1 << 63)
+    with pytest.raises(InputError, match="padding"):
+        knn_hamming_batch(index, packed, 3)
+    with pytest.raises(InputError):
+        knn_hamming_batch(index, packed[:, :1], 3)
+
+
+def test_negative_n_rejected(rng):
+    index, _ = _random_index(rng, 10, 8)
+    params = random_params(rng, 4, 8)
+    X = rng.normal(size=(10, 4))
+    query = HashCode.from_bits(rng.random(8) < 0.5)
+    calls = [
+        lambda n: knn_hamming(index, query, n),
+        lambda n: knn_hamming_batch(index, query.words[None, :], n),
+        lambda n: knn_exact_l2(X, X[0], n),
+        lambda n: knn_exact_ip(X, X[0], n),
+        lambda n: asymmetric_ip_search(index, params, X[0], n),
+    ]
+    for call in calls:
+        for n in (-1, -2, -11):
+            with pytest.raises(InputError, match="non-negative"):
+                call(n)
+        assert call(0).size == 0
 
 
 def test_binary_index_id_map(rng):
