@@ -15,7 +15,7 @@ import numpy as np
 from . import data_io, evaluation, search, training
 from .baselines import itq_encode_batch, itq_fit, pca_fit, PcaModel
 from .codes import ZERO_ONE, PLUS_MINUS, HashCode, n_words
-from .errors import FormatError, InputError, TrainingError
+from .errors import CapabilityError, FormatError, InputError, TrainingError
 from .model import ModelParams, encode_map_batch
 from .training import TrainConfig, exact_grad_check, train
 
@@ -38,7 +38,10 @@ def _parse_synth_spec(spec: str, default_seed: int):
             key = key.strip()
             if key not in fields:
                 raise InputError(f"unknown synth spec key {key!r}")
-            fields[key] = float(value) if key == "spread" else int(value)
+            try:
+                fields[key] = float(value) if key == "spread" else int(value)
+            except ValueError:
+                raise InputError(f"synth spec {key}={value!r} is not a number") from None
     if fields["seed"] is None:
         # derive a child stream so synth data and training draws stay independent
         fields["seed"] = int(np.random.SeedSequence(default_seed).spawn(1)[0].generate_state(1)[0])
@@ -73,7 +76,7 @@ def cmd_train(args) -> int:
         bits=args.bits,
         batch_size=args.batch,
         lr=args.lr,
-        estimator={"approx": "approx", "unbiased": "unbiased"}[args.estimator],
+        estimator=args.estimator,
         seed=args.seed,
         optimizer=args.optimizer,
         code_domain=_DOMAINS[args.domain],
@@ -157,9 +160,14 @@ def cmd_eval(args) -> int:
 def cmd_reconstruct(args) -> int:
     model, mean = data_io.load_checkpoint(args.ckpt)
     dataset = _load_data(args.data, args.format, args.seed)
-    shape = tuple(int(v) for v in args.shape.split("x"))
+    try:
+        shape = tuple(int(v) for v in args.shape.split("x"))
+    except ValueError:
+        shape = ()
     if len(shape) != 2:
-        raise InputError("--shape must look like 28x28")
+        raise InputError(f"--shape must look like 28x28, got {args.shape!r}")
+    if args.count < 1:
+        raise InputError("--count must be >= 1")
     rows = dataset.rows[: args.count]
     if isinstance(model, ModelParams):
         rows = _apply_center(rows, mean)
@@ -169,6 +177,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.dim < 1 or args.bits < 1:
+        raise InputError("--dim and --bits must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     params = ModelParams(
         rng.normal(size=(args.dim, args.bits)),
@@ -198,8 +208,18 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    p.add_argument("--seed", type=_seed, default=0, help="root seed for all randomness")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +321,7 @@ def main(argv=None) -> int:
     except FormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
-    except (InputError, FileNotFoundError) as err:
+    except (InputError, CapabilityError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

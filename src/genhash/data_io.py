@@ -118,15 +118,14 @@ def _write_vecs(path, rows, flavor: str):
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise InputError("can only write a (N, d) matrix")
-    n, d = rows.shape
-    payload = rows.astype(np.dtype(dtype))
-    if flavor == "bvecs" and (np.any(np.asarray(rows) < 0) or np.any(np.asarray(rows) > 255)):
+    if flavor == "bvecs" and (np.any(rows < 0) or np.any(rows > 255)):
         raise InputError("bvecs values must lie in [0, 255]")
+    n, d = rows.shape
+    records = np.empty(n, dtype=[("d", "<i4"), ("v", dtype, (d,))])
+    records["d"] = d
+    records["v"] = rows
     with open(path, "wb") as f:
-        dim = struct.pack("<i", d)
-        for row in payload:
-            f.write(dim)
-            f.write(row.tobytes())
+        records.tofile(f)
 
 
 def write_fvecs(path, rows):
@@ -178,6 +177,8 @@ def synth_mixture(n: int, d: int, n_clusters: int, spread: float, seed: int) -> 
         raise InputError(f"n_clusters {n_clusters} exceeds n {n}")
     if spread <= 0:
         raise InputError("spread must be positive")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     centers = rng.normal(size=(n_clusters, d))
     norms = np.linalg.norm(centers, axis=1, keepdims=True)

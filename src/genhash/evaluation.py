@@ -125,7 +125,7 @@ def reconstruction_grid(params, samples, image_shape) -> np.ndarray:
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise InputError("need a non-empty (n, d) sample matrix")
     h, w = image_shape
-    if h * w != samples.shape[1]:
+    if h < 1 or w < 1 or h * w != samples.shape[1]:
         raise InputError(f"image shape {image_shape} does not match dimension {samples.shape[1]}")
     recon = _reconstruct_batch(params, samples)
     if isinstance(params, ModelParams):

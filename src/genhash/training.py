@@ -9,9 +9,16 @@ gradient comes from either
   * the one-pass approximation that replaces that finite difference with
     d(loss)/d(h_k) evaluated at the sampled code.
 
-Both are rank-1 in x per bit and vectorize across a batch. Exhaustive
-enumeration of all codes (small l) recovers the true gradient of the exact
-objective and is used by exact_grad_check.
+Both are rank-1 in x per bit. All of this mathematics lives in one batched
+kernel, _grad_kernel, which returns the weighted mean of the per-row
+gradients over rows (x, p, b) with weights w. It has three callers:
+
+  * the training step (_batch_stats): the sampled minibatch, weights 1;
+  * the public per-sample grad_decoder / grad_w_*: one row, weight 1;
+  * the enumeration expectations expected_grad_*: every code h of length l
+    for one x, weighted by q(h|x). Exhaustive enumeration (small l)
+    recovers the true gradient of the exact objective and is used by
+    exact_grad_check.
 """
 
 import time
@@ -25,6 +32,7 @@ from .model import (
     ModelParams,
     clamp_probs,
     code_log_q,
+    encode_probs,
     enumerate_codes,
     exact_objective,
     sigmoid,
@@ -78,6 +86,8 @@ class TrainConfig:
             raise InputError(f"estimator must be one of {ESTIMATORS}")
         if self.optimizer not in OPTIMIZERS:
             raise InputError(f"optimizer must be one of {OPTIMIZERS}")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
     def effective_decay_horizon(self) -> int:
         if self.decay_horizon is not None:
@@ -139,20 +149,65 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-sample gradients
+# the gradient kernel and its per-sample wrappers
 # ---------------------------------------------------------------------------
 
+# the kernel's logit log(p/(1-p)) of the clamped p equals W^T x only while
+# |W^T x| < CLAMP_LOGIT; beyond it the clamp saturates
+CLAMP_LOGIT = np.log((1.0 - 1e-7) / 1e-7)
 
-def _sample_state(params: ModelParams, x, h: HashCode):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise InputError(f"data point has shape {x.shape}, expected ({params.d},)")
+
+def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, include_direct: bool):
+    """Weighted-mean GradientSet over rows (x, p, b) of X, P, bits; also returns the residuals.
+
+    Row i contributes the decoder gradients of grad_decoder and the encoder
+    estimate x c^T, where c_k is the flip delta (unbiased) or the loss slope
+    (approx) times p_k (1 - p_k), plus b_k - p_k with include_direct. The
+    mean is sum_i w_i g_i / sum_i w_i; with unit weights it is bit-identical
+    to the plain batch mean.
+    """
+    total = weights.sum()
+    rho2 = np.exp(2.0 * params.log_rho)
+    logit = np.log(P) - np.log1p(-P)
+    values = bits_to_values(bits, params.code_domain)
+    R = X - values @ params.U.T
+
+    dU = -(R.T @ (values * weights[:, None])) / (total * rho2)
+    dbeta = sigmoid(params.beta) - (weights @ bits) / total
+    rsq = (R * R).sum(axis=1)
+    dlog_rho = params.d - float((rsq * weights).sum() / total) / rho2
+
+    s = R @ params.U  # r . u_k per bit
+    usq = (params.U * params.U).sum(axis=0)
+    unbiased = estimator == ESTIMATOR_UNBIASED
+    if params.code_domain == ZERO_ONE:
+        # flip delta loss(b_k = 1) - loss(b_k = 0), or slope d(loss)/d(b_k)
+        if unbiased:
+            per_bit = ((1.0 - 2.0 * values) * usq - 2.0 * s) / (2.0 * rho2) - params.beta + logit
+        else:
+            per_bit = -s / rho2 - params.beta + logit
+    else:
+        # flip delta loss(h_k = +1) - loss(h_k = -1), or slope d(loss)/d(h_k),
+        # where the prior and posterior see b_k = (1 + h_k) / 2
+        if unbiased:
+            per_bit = (-4.0 * s - 4.0 * values * usq) / (2.0 * rho2) - params.beta + logit
+        else:
+            per_bit = -s / rho2 + 0.5 * (-params.beta + logit)
+    coeff = per_bit * P * (1.0 - P)
+    if include_direct:
+        coeff = coeff + (bits - P)
+    dW = X.T @ (coeff * weights[:, None]) / total
+    return GradientSet(dW, dU, dbeta, dlog_rho), R
+
+
+def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIASED,
+                  include_direct=False) -> GradientSet:
+    P = encode_probs(params, x)[None, :]
     if h.l != params.l:
         raise InputError(f"code length {h.l} != model code length {params.l}")
-    bits = h.to_bits().astype(np.float64)
-    values = bits_to_values(bits, params.code_domain)
-    r = x - params.U @ values
-    return x, bits, values, r
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    bits = h.to_bits().astype(np.float64)[None, :]
+    return _grad_kernel(params, X, P, bits, np.ones(1), estimator, include_direct)[0]
 
 
 def grad_decoder(params: ModelParams, x, h: HashCode):
@@ -161,35 +216,8 @@ def grad_decoder(params: ModelParams, x, h: HashCode):
     With residual r = x - U h: dU = -(1/rho^2) r h^T, dbeta = sigmoid(beta) - b,
     dlog_rho = d - ||r||^2 / rho^2, where b is the 0/1 bit vector.
     """
-    x, bits, values, r = _sample_state(params, x, h)
-    rho2 = np.exp(2.0 * params.log_rho)
-    dU = -np.outer(r, values) / rho2
-    dbeta = sigmoid(params.beta) - bits
-    dlog_rho = params.d - float(r @ r) / rho2
-    return dU, dbeta, dlog_rho
-
-
-def _clamped_logit(params: ModelParams, x):
-    """log(p/(1-p)) with the clamped probabilities, equal to W^T x when unclamped."""
-    p = clamp_probs(sigmoid(x @ params.W))
-    return p, np.log(p) - np.log1p(-p)
-
-
-def _bit_flip_delta(params: ModelParams, values, resid, logit):
-    """Loss change from turning each bit on vs off, at O(d) per bit.
-
-    For the zero-one domain this is loss(bit k = 1) - loss(bit k = 0); for
-    plus-minus it is loss(bit k = +1) - loss(bit k = -1). `values`/`resid`
-    may be batched with leading axes.
-    """
-    rho2 = np.exp(2.0 * params.log_rho)
-    s = resid @ params.U  # r . u_k per bit
-    usq = (params.U * params.U).sum(axis=0)
-    if params.code_domain == ZERO_ONE:
-        recon = ((1.0 - 2.0 * values) * usq - 2.0 * s) / (2.0 * rho2)
-    else:
-        recon = (-4.0 * s - 4.0 * values * usq) / (2.0 * rho2)
-    return recon - params.beta + logit
+    g = _sample_grads(params, x, h)
+    return g.dU, g.dbeta, g.dlog_rho
 
 
 def grad_w_unbiased(params: ModelParams, x, h: HashCode, include_direct: bool = False):
@@ -200,13 +228,7 @@ def grad_w_unbiased(params: ModelParams, x, h: HashCode, include_direct: bool = 
     zero-mean term (b - p) x^T from differentiating log q at the fixed code
     is added.
     """
-    x, bits, values, r = _sample_state(params, x, h)
-    p, logit = _clamped_logit(params, x)
-    delta = _bit_flip_delta(params, values, r, logit)
-    coeff = delta * p * (1.0 - p)
-    if include_direct:
-        coeff = coeff + (bits - p)
-    return np.outer(x, coeff)
+    return _sample_grads(params, x, h, ESTIMATOR_UNBIASED, include_direct).dW
 
 
 def grad_w_approx(params: ModelParams, x, h: HashCode, include_direct: bool = False):
@@ -216,21 +238,7 @@ def grad_w_approx(params: ModelParams, x, h: HashCode, include_direct: bool = Fa
     zero-one domain; under plus-minus the prior/posterior parts carry the 1/2
     from the (1 +- h)/2 exponents.
     """
-    x, bits, values, r = _sample_state(params, x, h)
-    p, logit = _clamped_logit(params, x)
-    g = _loss_slope(params, r, logit)
-    coeff = g * p * (1.0 - p)
-    if include_direct:
-        coeff = coeff + (bits - p)
-    return np.outer(x, coeff)
-
-
-def _loss_slope(params: ModelParams, resid, logit):
-    rho2 = np.exp(2.0 * params.log_rho)
-    s = resid @ params.U
-    if params.code_domain == ZERO_ONE:
-        return -s / rho2 - params.beta + logit
-    return -s / rho2 + 0.5 * (-params.beta + logit)
+    return _sample_grads(params, x, h, ESTIMATOR_APPROX, include_direct).dW
 
 
 # ---------------------------------------------------------------------------
@@ -292,49 +300,26 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
     policy, so IEEE special values flow through without warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _batch_stats_inner(params, X, xi, estimator, include_direct)
+        rho2 = np.exp(2.0 * params.log_rho)
+        Z = X @ params.W
+        P = clamp_probs(sigmoid(Z))
+        bits = (P >= xi).astype(np.float64)
+        grads, R = _grad_kernel(params, X, P, bits, np.ones(len(X)), estimator, include_direct)
 
+        # mean sampled loss of the batch
+        sp = softplus(params.beta)
+        mean_loss = float(
+            ((R * R).sum(axis=1) / (2.0 * rho2)).mean()
+            + 0.5 * params.d * np.log(2.0 * np.pi * rho2)
+            + (-(bits @ params.beta) + sp.sum()).mean()
+            + (bits * np.log(P) + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
+        )
 
-def _batch_stats_inner(params: ModelParams, X, xi, estimator: str, include_direct: bool):
-    B = X.shape[0]
-    d, l = params.d, params.l
-    rho2 = np.exp(2.0 * params.log_rho)
-    Z = X @ params.W
-    P = clamp_probs(sigmoid(Z))
-    logit = np.log(P) - np.log1p(-P)
-    bits = (P >= xi).astype(np.float64)
-    values = bits_to_values(bits, params.code_domain)
-    R = X - values @ params.U.T
-
-    dU = -(R.T @ values) / (B * rho2)
-    dbeta = sigmoid(params.beta) - bits.mean(axis=0)
-    rsq = (R * R).sum(axis=1)
-    dlog_rho = d - float(rsq.mean()) / rho2
-
-    if estimator == ESTIMATOR_UNBIASED:
-        per_bit = _bit_flip_delta(params, values, R, logit)
-    else:
-        per_bit = _loss_slope(params, R, logit)
-    coeff = per_bit * P * (1.0 - P)
-    if include_direct:
-        coeff = coeff + (bits - P)
-    dW = X.T @ coeff / B
-
-    # mean sampled loss of the batch
-    sp = softplus(params.beta)
-    mean_loss = float(
-        (rsq / (2.0 * rho2)).mean()
-        + 0.5 * d * np.log(2.0 * np.pi * rho2)
-        + (-(bits @ params.beta) + sp.sum()).mean()
-        + (bits * np.log(P) + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
-    )
-
-    # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits
-    map_values = bits_to_values(Z >= 0.0, params.code_domain)
-    map_resid = X - map_values @ params.U.T
-    map_err = float((map_resid * map_resid).sum(axis=1).mean())
-
-    return GradientSet(dW, dU, dbeta, dlog_rho), mean_loss, map_err
+        # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits
+        map_values = bits_to_values(Z >= 0.0, params.code_domain)
+        map_resid = X - map_values @ params.U.T
+        map_err = float((map_resid * map_resid).sum(axis=1).mean())
+    return grads, mean_loss, map_err
 
 
 @dataclass
@@ -466,9 +451,6 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
 # enumeration-based gradient verification
 # ---------------------------------------------------------------------------
 
-CLAMP_LOGIT = np.log((1.0 - 1e-7) / 1e-7)  # |W^T x| beyond this saturates the clamp
-
-
 @dataclass
 class GradCheckReport:
     """Max relative errors of each analytic/estimated block vs finite differences."""
@@ -510,31 +492,23 @@ def _rel_err(a, b, floor: float = 1e-3) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def expected_grad_w_unbiased(params: ModelParams, x) -> np.ndarray:
-    """Enumeration expectation of the unbiased estimator over h ~ q(.|x)."""
+def _expected_grads(params: ModelParams, x) -> GradientSet:
     bits = enumerate_codes(params.l).astype(np.float64)
     q = np.exp(code_log_q(params, x, bits))
-    x = np.asarray(x, dtype=np.float64)
-    values = bits_to_values(bits, params.code_domain)
-    resid = x - values @ params.U.T
-    p, logit = _clamped_logit(params, x)
-    delta = _bit_flip_delta(params, values, resid, logit)
-    coeff = q @ (delta * p * (1.0 - p))
-    return np.outer(x, coeff)
+    X = np.broadcast_to(np.asarray(x, dtype=np.float64), (len(bits), params.d))
+    P = np.broadcast_to(encode_probs(params, x), bits.shape)
+    return _grad_kernel(params, X, P, bits, q, ESTIMATOR_UNBIASED, False)[0]
+
+
+def expected_grad_w_unbiased(params: ModelParams, x) -> np.ndarray:
+    """Enumeration expectation of the unbiased estimator over h ~ q(.|x)."""
+    return _expected_grads(params, x).dW
 
 
 def expected_grad_decoder(params: ModelParams, x):
     """Enumeration expectation of grad_decoder over h ~ q(.|x)."""
-    bits = enumerate_codes(params.l).astype(np.float64)
-    q = np.exp(code_log_q(params, x, bits))
-    x = np.asarray(x, dtype=np.float64)
-    values = bits_to_values(bits, params.code_domain)
-    resid = x - values @ params.U.T
-    rho2 = np.exp(2.0 * params.log_rho)
-    dU = -(resid * q[:, None]).T @ values / rho2
-    dbeta = sigmoid(params.beta) - q @ bits
-    dlog_rho = params.d - float(q @ (resid * resid).sum(axis=1)) / rho2
-    return dU, dbeta, dlog_rho
+    g = _expected_grads(params, x)
+    return g.dU, g.dbeta, g.dlog_rho
 
 
 def exact_grad_check(params: ModelParams, x, fd_step: float = 1e-5) -> GradCheckReport:

@@ -194,6 +194,40 @@ def test_reconstruct_writes_pgm(tmp_path):
     assert out.read_bytes().startswith(b"P5\n")
 
 
+@pytest.mark.parametrize(
+    "shape,count", [("2xq", 8), ("4x4x1", 8), ("-4x-4", 8), ("4x4", 0), ("4x4", -3)]
+)
+def test_reconstruct_malformed_numbers_exit_2(tmp_path, shape, count):
+    data = "n=200,d=16,clusters=3,spread=1.0,seed=41"
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--data", data, "--format", "synth", "--bits", "4", "--steps", "1",
+               "--batch", "50", "--out", ckpt) == 0
+    out = tmp_path / "grid.pgm"
+    assert run("reconstruct", "--ckpt", ckpt, "--data", data, "--format", "synth",
+               f"--shape={shape}", f"--count={count}", "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec", ["n=abc,d=8", "n=200,d=8.5", "n=200,spread=wide", "n=200,seed=x", "n=200,seed=-1"]
+)
+def test_malformed_synth_spec_exits_2(tmp_path, spec):
+    assert run("train", "--data", spec, "--format", "synth", "--bits", "4", "--steps", "1",
+               "--batch", "10", "--out", tmp_path / "m.ckpt") == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_malformed_seed_exits_2(seed):
+    with pytest.raises(SystemExit) as exc:
+        run("gradcheck", "--seed", seed)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("size", [["--dim", "0"], ["--dim=-1"], ["--bits", "0"], ["--bits", "13"]])
+def test_gradcheck_bad_size_exits_2(size):
+    assert run("gradcheck", *size) == 2
+
+
 def test_gradcheck_command():
     assert run("gradcheck", "--dim", "4", "--bits", "3", "--seed", "8") == 0
     assert run("gradcheck", "--dim", "4", "--bits", "3", "--domain", "plus-minus",

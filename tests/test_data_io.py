@@ -72,6 +72,32 @@ def test_ivecs_round_trip(tmp_path, rng):
     assert np.array_equal(read_ivecs(path), lists)
 
 
+@pytest.mark.parametrize(
+    "writer,fmt,rows",
+    [
+        (write_fvecs, "<f4", np.arange(12.0).reshape(4, 3) / 7),
+        (write_bvecs, "u1", np.arange(12).reshape(3, 4) * 21),
+        (write_ivecs, "<i4", np.arange(10).reshape(2, 5) - 3),
+        (write_fvecs, "<f4", np.empty((0, 3))),
+    ],
+)
+def test_vecs_writer_matches_record_layout(tmp_path, writer, fmt, rows):
+    # one record per row: int32 dimension prefix, then the row's elements
+    path = tmp_path / "data.vecs"
+    writer(path, rows)
+    d = rows.shape[1]
+    expected = b"".join(struct.pack("<i", d) + row.astype(fmt).tobytes() for row in rows)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("value", [-1, 256])
+def test_bvecs_writer_rejects_out_of_range(tmp_path, value):
+    path = tmp_path / "data.bvecs"
+    with pytest.raises(InputError):
+        write_bvecs(path, np.array([[0, value]]))
+    assert not path.exists()
+
+
 def test_vecs_rejects_trailing_garbage(tmp_path):
     path = tmp_path / "bad.fvecs"
     path.write_bytes(struct.pack("<iff", 2, 1.0, 2.0) + b"\x01\x02")
@@ -169,6 +195,8 @@ def test_synth_mixture_input_validation():
         synth_mixture(5, 4, 10, 1.0, 0)
     with pytest.raises(InputError):
         synth_mixture(10, 4, 2, -1.0, 0)
+    with pytest.raises(InputError):
+        synth_mixture(10, 4, 2, 1.0, -1)
 
 
 def test_dataset_centering():

@@ -200,6 +200,8 @@ def test_reconstruction_grid_shape_checks(rng):
     params = random_params(rng, 9, 4)
     with pytest.raises(InputError):
         reconstruction_grid(params, np.zeros((2, 9)), (2, 3))
+    with pytest.raises(InputError):
+        reconstruction_grid(params, np.zeros((2, 9)), (-3, -3))
 
 
 def test_reconstruction_grid_golden_hash():

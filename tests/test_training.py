@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode
+from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode, bits_to_values
 from genhash.data_io import synth_mixture
 from genhash.errors import CapabilityError, InputError, TrainingError
 from genhash.model import (
     ModelParams,
+    clamp_probs,
     code_log_q,
     encode_probs,
     encode_sample,
     enumerate_codes,
     exact_objective,
     loss,
+    loss_bits,
+    sigmoid,
+    softplus,
 )
 from genhash.training import (
+    ESTIMATOR_UNBIASED,
     GradientSet,
     OptimizerState,
     TrainConfig,
@@ -125,6 +130,28 @@ def test_approx_equals_unbiased_for_linear_loss(rng):
     x = rng.normal(size=4)
     h = encode_sample(params, x, rng.random(3))
     assert np.allclose(grad_w_approx(params, x, h), grad_w_unbiased(params, x, h), atol=1e-14)
+
+
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_approx_slope_matches_relaxed_bit_derivative(domain, rng):
+    # g_k is d(loss)/d(h_k) at the sampled code: the central difference of the
+    # loss in a relaxed bit b_k, halved under plus-minus where h = 2b - 1
+    scale = 1.0 if domain == ZERO_ONE else 0.5
+    step = 1e-4
+    for _ in range(10):
+        params = random_params(rng, 4, 3, domain)
+        x = rng.normal(size=4)
+        h = encode_sample(params, x, rng.random(3))
+        p = encode_probs(params, x)
+        j = np.abs(x).argmax()
+        g = grad_w_approx(params, x, h)[j] / (p * (1 - p) * x[j])
+        bits = h.to_bits().astype(np.float64)
+        for k in range(3):
+            hi, lo = bits.copy(), bits.copy()
+            hi[k] += step
+            lo[k] -= step
+            fd = scale * (loss_bits(params, hi, x) - loss_bits(params, lo, x)) / (2 * step)
+            assert abs(g[k] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_approx_within_quadratic_bound(rng):
@@ -277,6 +304,12 @@ def test_train_deterministic(rng):
     assert np.array_equal(log1.recon_error, log2.recon_error)
 
 
+@pytest.mark.parametrize("field", [{"steps": -1}, {"bits": 0}, {"lr": 0.0}, {"seed": -1}])
+def test_train_config_rejects_bad_fields(field):
+    with pytest.raises(InputError):
+        TrainConfig(**{"steps": 10, "bits": 4, **field})
+
+
 def test_train_batch_size_guard():
     data = synth_mixture(100, 4, 2, 1.0, 0)
     with pytest.raises(InputError):
@@ -312,6 +345,99 @@ def test_train_batch_gradients_match_per_sample_ops(rng):
             assert np.max(np.abs(grads.dbeta - dbeta / 7)) < 1e-12
             assert abs(grads.dlog_rho - dlog_rho / 7) < 1e-12
             assert abs(mean_loss - np.mean(losses)) < 1e-12
+
+
+# The batch step as written before the gradient kernel, kept verbatim as the
+# bitwise reference for _batch_stats.
+
+
+def _bit_flip_delta(params: ModelParams, values, resid, logit):
+    """Loss change from turning each bit on vs off, at O(d) per bit.
+
+    For the zero-one domain this is loss(bit k = 1) - loss(bit k = 0); for
+    plus-minus it is loss(bit k = +1) - loss(bit k = -1). `values`/`resid`
+    may be batched with leading axes.
+    """
+    rho2 = np.exp(2.0 * params.log_rho)
+    s = resid @ params.U  # r . u_k per bit
+    usq = (params.U * params.U).sum(axis=0)
+    if params.code_domain == ZERO_ONE:
+        recon = ((1.0 - 2.0 * values) * usq - 2.0 * s) / (2.0 * rho2)
+    else:
+        recon = (-4.0 * s - 4.0 * values * usq) / (2.0 * rho2)
+    return recon - params.beta + logit
+
+
+def _loss_slope(params: ModelParams, resid, logit):
+    rho2 = np.exp(2.0 * params.log_rho)
+    s = resid @ params.U
+    if params.code_domain == ZERO_ONE:
+        return -s / rho2 - params.beta + logit
+    return -s / rho2 + 0.5 * (-params.beta + logit)
+
+
+def _batch_stats_inner(params: ModelParams, X, xi, estimator: str, include_direct: bool):
+    B = X.shape[0]
+    d, l = params.d, params.l
+    rho2 = np.exp(2.0 * params.log_rho)
+    Z = X @ params.W
+    P = clamp_probs(sigmoid(Z))
+    logit = np.log(P) - np.log1p(-P)
+    bits = (P >= xi).astype(np.float64)
+    values = bits_to_values(bits, params.code_domain)
+    R = X - values @ params.U.T
+
+    dU = -(R.T @ values) / (B * rho2)
+    dbeta = sigmoid(params.beta) - bits.mean(axis=0)
+    rsq = (R * R).sum(axis=1)
+    dlog_rho = d - float(rsq.mean()) / rho2
+
+    if estimator == ESTIMATOR_UNBIASED:
+        per_bit = _bit_flip_delta(params, values, R, logit)
+    else:
+        per_bit = _loss_slope(params, R, logit)
+    coeff = per_bit * P * (1.0 - P)
+    if include_direct:
+        coeff = coeff + (bits - P)
+    dW = X.T @ coeff / B
+
+    # mean sampled loss of the batch
+    sp = softplus(params.beta)
+    mean_loss = float(
+        (rsq / (2.0 * rho2)).mean()
+        + 0.5 * d * np.log(2.0 * np.pi * rho2)
+        + (-(bits @ params.beta) + sp.sum()).mean()
+        + (bits * np.log(P) + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
+    )
+
+    # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits
+    map_values = bits_to_values(Z >= 0.0, params.code_domain)
+    map_resid = X - map_values @ params.U.T
+    map_err = float((map_resid * map_resid).sum(axis=1).mean())
+
+    return GradientSet(dW, dU, dbeta, dlog_rho), mean_loss, map_err
+
+
+@pytest.mark.parametrize("batch", [1, 7, 500])
+@pytest.mark.parametrize("d,l", [(5, 4), (32, 32), (16, 70)])
+def test_batch_stats_bitwise_equals_reference(d, l, batch, rng):
+    from genhash.training import _batch_stats
+
+    for domain in (ZERO_ONE, PLUS_MINUS):
+        for estimator in ("unbiased", "approx"):
+            for include_direct in (False, True):
+                params = random_params(rng, d, l, domain)
+                X = rng.normal(size=(batch, d))
+                xi = rng.random((batch, l))
+                grads, mean_loss, map_err = _batch_stats(params, X, xi, estimator, include_direct)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref, ref_loss, ref_err = _batch_stats_inner(params, X, xi, estimator, include_direct)
+                assert np.array_equal(grads.dW, ref.dW)
+                assert np.array_equal(grads.dU, ref.dU)
+                assert np.array_equal(grads.dbeta, ref.dbeta)
+                assert np.array_equal(grads.dlog_rho, ref.dlog_rho)
+                assert np.array_equal(mean_loss, ref_loss)
+                assert np.array_equal(map_err, ref_err)
 
 
 def test_train_loss_windows_mostly_non_increasing():
