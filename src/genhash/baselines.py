@@ -5,6 +5,10 @@ directions, then alternates between snapping the projections to the nearest
 sign pattern and solving the orthogonal Procrustes problem for the rotation
 that best aligns projections with their sign patterns. Its codes are
 directly comparable to the learned hash codes downstream.
+
+PcaModel, ItqModel and the learned ModelParams share one hasher surface:
+d, l, encode_batch(X), reconstruct_batch(X) and templates(). PCA has no
+binary code, so its encode_batch raises InputError.
 """
 
 import warnings
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import HashCode, pack_bits
+from .codes import HashCode, pack_bits, unpack_bits
 from .errors import InputError
 
 DEFAULT_ITQ_ITERATIONS = 50
@@ -21,16 +25,46 @@ DEFAULT_ITQ_ITERATIONS = 50
 RANK_RTOL = 1e-10
 
 
+class _Projection:
+    """What both baselines share: a data mean and (d, l) principal directions W_pca."""
+
+    @property
+    def d(self) -> int:
+        return self.W_pca.shape[0]
+
+    @property
+    def l(self) -> int:
+        return self.W_pca.shape[1]
+
+    def _matrix(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise InputError(f"expected (N, {self.d}) data matrix, got {X.shape}")
+        return X
+
+
 @dataclass
-class PcaModel:
+class PcaModel(_Projection):
     """Mean and orthonormal top-l principal directions (d, l)."""
 
     mean: np.ndarray
     W_pca: np.ndarray
 
+    def encode_batch(self, X) -> np.ndarray:
+        raise InputError("PCA models do not define an encoder")
+
+    def reconstruct_batch(self, X) -> np.ndarray:
+        """Projections of the rows of X onto the principal subspace."""
+        c = self._matrix(X) - self.mean
+        return self.mean + c @ self.W_pca @ self.W_pca.T
+
+    def templates(self) -> np.ndarray:
+        """The principal directions, one per row: (l, d)."""
+        return self.W_pca.T
+
 
 @dataclass
-class ItqModel:
+class ItqModel(_Projection):
     """PCA projection plus learned orthogonal rotation and binarization scale.
 
     scale holds the per-rotated-dimension mean magnitude of the training
@@ -47,9 +81,17 @@ class ItqModel:
     quant_losses: list = field(default_factory=list)
     rank_ok: bool = True
 
-    @property
-    def l(self) -> int:
-        return self.W_pca.shape[1]
+    def encode_batch(self, X) -> np.ndarray:
+        return itq_encode_batch(self, X)
+
+    def reconstruct_batch(self, X) -> np.ndarray:
+        """Sign codes of the rows of X mapped back through the scaled binary cube."""
+        signs = 2.0 * unpack_bits(itq_encode_batch(self, X), self.l) - 1.0
+        return self.mean + (signs * self.scale) @ self.R.T @ self.W_pca.T
+
+    def templates(self) -> np.ndarray:
+        """Per-bit input-space directions of the rotated projection: (l, d)."""
+        return (self.W_pca @ self.R).T
 
 
 def _rows(dataset) -> np.ndarray:
@@ -150,10 +192,7 @@ def itq_encode(model: ItqModel, x) -> HashCode:
 
 
 def itq_encode_batch(model: ItqModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.mean.shape[0]:
-        raise InputError(f"expected (N, {model.mean.shape[0]}) data matrix, got {X.shape}")
-    return pack_bits((X - model.mean) @ model.W_pca @ model.R >= 0.0)
+    return pack_bits((model._matrix(X) - model.mean) @ model.W_pca @ model.R >= 0.0)
 
 
 def itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:

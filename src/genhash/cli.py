@@ -4,7 +4,9 @@ gradcheck, baseline.
 Every command is deterministic given its flags (all randomness flows from
 --seed through splittable counter-based generators) and never mutates its
 inputs. Exit codes: 0 ok, 2 input error, 3 file-format error, 4 training
-abort.
+abort. Commands that read a checkpoint use the model's hasher surface
+(encode_batch, reconstruct_batch, templates) on data checked against the
+model's width and centred by the SGH checkpoint's mean.
 """
 
 import argparse
@@ -13,10 +15,12 @@ import sys
 import numpy as np
 
 from . import data_io, evaluation, search, training
-from .baselines import itq_encode_batch, itq_fit, pca_fit, PcaModel
-from .codes import ZERO_ONE, PLUS_MINUS, HashCode, n_words
+from .baselines import itq_encode_batch  # a patch point in bench/timing.py PATCH_POINTS
+from .baselines import itq_fit, pca_fit, PcaModel
+from .codes import ZERO_ONE, PLUS_MINUS, HashCode
 from .errors import CapabilityError, FormatError, InputError, TrainingError
-from .model import ModelParams, encode_map_batch
+from .model import encode_map_batch  # a patch point in bench/timing.py PATCH_POINTS
+from .model import ModelParams
 from .training import TrainConfig, exact_grad_check, train
 
 EXIT_OK = 0
@@ -61,8 +65,17 @@ def _load_data(path: str, fmt: str, seed: int) -> data_io.Dataset:
     raise InputError(f"unknown data format {fmt!r}")
 
 
-def _apply_center(rows: np.ndarray, mean) -> np.ndarray:
-    return rows if mean is None else rows - mean
+def _load_model_and_rows(ckpt: str, path: str, fmt: str, seed: int, expect_kind=None):
+    """A checkpoint's model and the data rows it takes: (N, model.d), centred in
+    place by the SGH checkpoint's mean if it has one; an empty file gives (0, d)."""
+    model, mean = data_io.load_checkpoint(ckpt, expect_kind)
+    dataset = _load_data(path, fmt, seed)
+    rows = dataset.rows if dataset.n else np.empty((0, model.d))
+    if rows.shape[1] != model.d:
+        raise InputError(f"data dimension {rows.shape[1]} != checkpoint dimension {model.d}")
+    if mean is not None:
+        rows -= mean
+    return model, rows
 
 
 def cmd_train(args) -> int:
@@ -88,31 +101,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _encode_with(model, mean, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    if isinstance(model, ModelParams):
-        return encode_map_batch(model, _apply_center(rows, mean)), model.l
-    if hasattr(model, "R"):
-        return itq_encode_batch(model, rows), model.l
-    raise InputError("checkpoint kind does not define an encoder")
-
-
 def cmd_encode(args) -> int:
-    model, mean = data_io.load_checkpoint(args.ckpt)
-    dataset = _load_data(args.data, args.format, args.seed)
-    if dataset.n == 0:
-        bits = getattr(model, "l", None)
-        if bits is None:
-            raise InputError("checkpoint kind does not define an encoder")
-        codes = np.empty((0, n_words(bits)), dtype=np.uint64)
-    else:
-        codes, bits = _encode_with(model, mean, dataset.rows)
-    data_io.write_packed_codes(args.out, codes, bits)
+    model, rows = _load_model_and_rows(args.ckpt, args.data, args.format, args.seed)
+    data_io.write_packed_codes(args.out, model.encode_batch(rows), model.l)
     return EXIT_OK
 
 
 def cmd_groundtruth(args) -> int:
     dataset = _load_data(args.data, args.format, args.seed)
     queries = _load_data(args.queries, args.queries_format, args.seed + 1)
+    if dataset.n == 0 or queries.n == 0:
+        raise InputError("ground truth needs a non-empty dataset and query set")
     if queries.d != dataset.d:
         raise InputError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
     knn = search.knn_exact_l2 if args.metric == "l2" else search.knn_exact_ip
@@ -141,11 +140,12 @@ def cmd_eval(args) -> int:
     else:
         if not (args.ckpt and args.queries):
             raise InputError("--mode asym requires --ckpt and --queries")
-        model, mean = data_io.load_checkpoint(args.ckpt, expect_kind=data_io.KIND_SGH)
+        model, rows = _load_model_and_rows(
+            args.ckpt, args.queries, args.queries_format, args.seed, data_io.KIND_SGH
+        )
         if model.l != bits:
             raise InputError(f"checkpoint is {model.l}-bit but index is {bits}-bit")
-        qdata = _load_data(args.queries, args.queries_format, args.seed)
-        queries = list(_apply_center(qdata.rows, mean))
+        queries = list(rows)
 
         def searcher(q, n):
             return search.asymmetric_ip_search(index, model, q, n)
@@ -158,8 +158,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    model, mean = data_io.load_checkpoint(args.ckpt)
-    dataset = _load_data(args.data, args.format, args.seed)
+    model, rows = _load_model_and_rows(args.ckpt, args.data, args.format, args.seed)
     try:
         shape = tuple(int(v) for v in args.shape.split("x"))
     except ValueError:
@@ -168,10 +167,7 @@ def cmd_reconstruct(args) -> int:
         raise InputError(f"--shape must look like 28x28, got {args.shape!r}")
     if args.count < 1:
         raise InputError("--count must be >= 1")
-    rows = dataset.rows[: args.count]
-    if isinstance(model, ModelParams):
-        rows = _apply_center(rows, mean)
-    grid = evaluation.reconstruction_grid(model, rows, shape)
+    grid = evaluation.reconstruction_grid(model, rows[: args.count], shape)
     evaluation.write_pgm(args.out, grid)
     return EXIT_OK
 

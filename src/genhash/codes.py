@@ -52,7 +52,7 @@ def unpack_bits(words, l: int) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint64)
     shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
     as_bytes = ((words[..., None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-    flat = as_bytes.reshape(as_bytes.shape[:-2] + (-1,))
+    flat = as_bytes.reshape(as_bytes.shape[:-2] + (8 * words.shape[-1],))
     bits = np.unpackbits(flat, axis=-1, bitorder="little")
     return bits[..., :l].astype(bool)
 

@@ -5,9 +5,11 @@ little-endian int dimension prefix per record, then that many elements
 (float32 / uint8 / int32 for .fvecs / .bvecs / .ivecs). All records must
 share one dimension and files must contain whole records. The digit-image
 reader takes the big-endian IDX format. Checkpoints are a little-endian
-binary container with a trailing FNV-1a checksum; loads are bit-exact.
+binary container with a trailing FNV-1a checksum; loads are bit-exact. The
+writer, the size check and the reader all follow one per-kind table.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -25,8 +27,6 @@ CODES_MAGIC = b"GHCODES\x00"
 KIND_SGH = "SGH"
 KIND_ITQ = "ITQ"
 KIND_PCA = "PCA"
-_KIND_TAGS = {KIND_SGH: 0, KIND_ITQ: 1, KIND_PCA: 2}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -203,70 +203,43 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+# Each kind's header tag, model class, and payload as float64 blocks in file
+# order: attribute -> shape. SGH appends a centred flag byte and a (d,) mean
+# and sets the header's domain byte; ITQ sets its extra field (iterations).
+_LAYOUTS = {
+    KIND_SGH: (0, ModelParams, lambda d, l: {"W": (d, l), "U": (d, l), "beta": (l,), "log_rho": ()}),
+    KIND_ITQ: (1, ItqModel, lambda d, l: {"mean": (d,), "W_pca": (d, l), "R": (l, l), "scale": (l,)}),
+    KIND_PCA: (2, PcaModel, lambda d, l: {"mean": (d,), "W_pca": (d, l)}),
+}
+_TAG_KINDS = {tag: kind for kind, (tag, _, _) in _LAYOUTS.items()}
+
+
 def _block(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def save_checkpoint(path, model, center_mean=None):
     """Serialize a model (with optional preprocessing mean) to a binary file."""
-    if isinstance(model, ModelParams):
-        kind = KIND_SGH
-        d, l = model.d, model.l
-        domain = CODE_DOMAINS.index(model.code_domain)
+    kind = next((k for k, (_, cls, _) in _LAYOUTS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
+    d, l = model.d, model.l
+    payload = b"".join(_block(getattr(model, attr)) for attr in _LAYOUTS[kind][2](d, l))
+    domain = CODE_DOMAINS.index(model.code_domain) if kind == KIND_SGH else 0
+    extra = model.iterations if kind == KIND_ITQ else 0
+    if kind == KIND_SGH:
         mean = np.zeros(d) if center_mean is None else np.asarray(center_mean, dtype=np.float64)
         if mean.shape != (d,):
             raise InputError(f"center mean must have length {d}")
-        payload = (
-            _block(model.W)
-            + _block(model.U)
-            + _block(model.beta)
-            + _block([model.log_rho])
-            + struct.pack("<B", 0 if center_mean is None else 1)
-            + _block(mean)
-        )
-        extra = 0
-    elif isinstance(model, ItqModel):
-        kind = KIND_ITQ
-        d, l = model.W_pca.shape
-        domain = 0
-        payload = (
-            _block(model.mean)
-            + _block(model.W_pca)
-            + _block(model.R)
-            + _block(model.scale)
-        )
-        extra = model.iterations
-    elif isinstance(model, PcaModel):
-        kind = KIND_PCA
-        d, l = model.W_pca.shape
-        domain = 0
-        payload = _block(model.mean) + _block(model.W_pca)
-        extra = 0
-    else:
-        raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
+        payload += struct.pack("<B", 0 if center_mean is None else 1) + _block(mean)
 
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<IBBIIq", CHECKPOINT_VERSION, _KIND_TAGS[kind], domain, d, l, extra
+        "<IBBIIq", CHECKPOINT_VERSION, _LAYOUTS[kind][0], domain, d, l, extra
     )
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
         f.write(struct.pack("<Q", fnv1a_64(payload)))
-
-
-def _payload_size(kind: str, d: int, l: int) -> int:
-    """Bytes of payload that save_checkpoint writes for (kind, d, l)."""
-    if kind == KIND_SGH:
-        return 8 * (2 * d * l + l + 1 + d) + 1  # W, U, beta, log_rho, mean; centred flag
-    if kind == KIND_ITQ:
-        return 8 * (d + d * l + l * l + l)  # mean, W_pca, R, scale
-    return 8 * (d + d * l)  # mean, W_pca
-
-
-def _take(buf: memoryview, count: int, shape):
-    n_bytes = 8 * count
-    arr = np.frombuffer(buf[:n_bytes], dtype="<f8").reshape(shape).copy()
-    return arr, buf[n_bytes:]
 
 
 def load_checkpoint(path, expect_kind=None):
@@ -298,7 +271,10 @@ def load_checkpoint(path, expect_kind=None):
     if domain >= domains:
         raise FormatError(f"{path}: bad code domain byte {domain} for a {kind} checkpoint")
     payload = raw[head_size:-8]
-    expected = _payload_size(kind, d, l)
+    blocks = _LAYOUTS[kind][2](d, l)
+    expected = 8 * sum(map(math.prod, blocks.values()))
+    if kind == KIND_SGH:
+        expected += 1 + 8 * d
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, but a {kind} checkpoint with "
@@ -308,26 +284,18 @@ def load_checkpoint(path, expect_kind=None):
     if fnv1a_64(payload) != stored:
         raise FormatError(f"{path}: checksum mismatch; file is corrupted")
 
-    buf = memoryview(bytes(payload))
+    fields, offset = {}, 0
+    for attr, shape in blocks.items():
+        count = math.prod(shape)
+        fields[attr] = np.frombuffer(payload, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
     if kind == KIND_SGH:
-        W, buf = _take(buf, d * l, (d, l))
-        U, buf = _take(buf, d * l, (d, l))
-        beta, buf = _take(buf, l, (l,))
-        log_rho, buf = _take(buf, 1, (1,))
-        centered = buf[0]
-        buf = buf[1:]
-        mean, buf = _take(buf, d, (d,))
-        params = ModelParams(W, U, beta, float(log_rho[0]), CODE_DOMAINS[domain])
-        return params, (mean if centered else None)
-    if kind == KIND_ITQ:
-        mean, buf = _take(buf, d, (d,))
-        W_pca, buf = _take(buf, d * l, (d, l))
-        R, buf = _take(buf, l * l, (l, l))
-        scale, buf = _take(buf, l, (l,))
-        return ItqModel(mean=mean, W_pca=W_pca, R=R, iterations=int(extra), scale=scale), None
-    mean, buf = _take(buf, d, (d,))
-    W_pca, buf = _take(buf, d * l, (d, l))
-    return PcaModel(mean=mean, W_pca=W_pca), None
+        fields["code_domain"] = CODE_DOMAINS[domain]
+    elif kind == KIND_ITQ:
+        fields["iterations"] = int(extra)
+    model = _LAYOUTS[kind][1](**fields)
+    centred = kind == KIND_SGH and payload[offset]
+    return model, (np.frombuffer(payload, "<f8", d, offset + 1).copy() if centred else None)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +305,8 @@ def load_checkpoint(path, expect_kind=None):
 
 def write_packed_codes(path, codes: np.ndarray, l: int):
     """Header (magic, N, l) followed by N*ceil(l/64) little-endian words."""
+    if l < 1:
+        raise InputError(f"code length must be >= 1, got {l}")
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     if codes.ndim != 2 or codes.shape[1] != n_words(l):
         raise InputError(f"codes must be (N, {n_words(l)}) for {l} bits")
@@ -356,6 +326,8 @@ def read_packed_codes(path):
     if raw[: len(CODES_MAGIC)] != CODES_MAGIC:
         raise FormatError(f"{path}: not a packed-code file")
     count, l = struct.unpack_from("<QI", raw, len(CODES_MAGIC))
+    if l < 1:
+        raise FormatError(f"{path}: code length {l} must be >= 1")
     expected = head + count * n_words(l) * 8
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")

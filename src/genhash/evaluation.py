@@ -3,16 +3,20 @@
 RecallK@N is the fraction of the K true nearest neighbors present among the
 N retrieved items, averaged over queries. Curves are evaluated on a fixed N
 grid clipped to the index size and emitted as CSV rows method,bits,K,N,recall.
+
+Reconstruction error and image grids take any model with the shared hasher
+surface (SGH ModelParams, ItqModel, PcaModel): they call its
+reconstruct_batch and templates. SGH rows must already be centred.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import ItqModel, PcaModel, itq_encode_batch
-from .codes import bits_to_values, unpack_bits
+from .baselines import itq_encode_batch  # a patch point in bench/timing.py PATCH_POINTS
+from .codes import unpack_bits  # a patch point in bench/timing.py PATCH_POINTS
 from .errors import InputError
-from .model import ModelParams, encode_map_batch
+from .model import encode_map_batch  # a patch point in bench/timing.py PATCH_POINTS
 
 DEFAULT_N_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -84,26 +88,10 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
     )
 
 
-def _reconstruct_batch(model, X) -> np.ndarray:
-    """encode-then-decode each row of X under the given model kind."""
-    X = np.asarray(getattr(X, "rows", X), dtype=np.float64)
-    if isinstance(model, ModelParams):
-        bits = unpack_bits(encode_map_batch(model, X), model.l)
-        return bits_to_values(bits, model.code_domain) @ model.U.T
-    if isinstance(model, ItqModel):
-        bits = unpack_bits(itq_encode_batch(model, X), model.l)
-        signs = 2.0 * bits - 1.0
-        return model.mean + (signs * model.scale) @ model.R.T @ model.W_pca.T
-    if isinstance(model, PcaModel):
-        c = X - model.mean
-        return model.mean + c @ model.W_pca @ model.W_pca.T
-    raise InputError(f"cannot reconstruct with model of type {type(model).__name__}")
-
-
 def mean_recon_error(model, dataset) -> float:
     """Mean squared reconstruction error ||x - reconstruct(encode(x))||^2."""
     X = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
-    resid = X - _reconstruct_batch(model, X)
+    resid = X - model.reconstruct_batch(X)
     return float((resid * resid).sum(axis=1).mean())
 
 
@@ -127,15 +115,8 @@ def reconstruction_grid(params, samples, image_shape) -> np.ndarray:
     h, w = image_shape
     if h < 1 or w < 1 or h * w != samples.shape[1]:
         raise InputError(f"image shape {image_shape} does not match dimension {samples.shape[1]}")
-    recon = _reconstruct_batch(params, samples)
-    if isinstance(params, ModelParams):
-        templates = params.U.T
-    elif isinstance(params, ItqModel):
-        templates = model_template_columns(params)
-    elif isinstance(params, PcaModel):
-        templates = params.W_pca.T
-    else:
-        raise InputError(f"cannot render templates for {type(params).__name__}")
+    recon = params.reconstruct_batch(samples)
+    templates = params.templates()
 
     n = samples.shape[0]
     template_rows = -(-templates.shape[0] // n)
@@ -147,11 +128,6 @@ def reconstruction_grid(params, samples, image_shape) -> np.ndarray:
         r, c = 2 + i // n, i % n
         grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = _normalize_tile(tmpl.reshape(h, w))
     return grid
-
-
-def model_template_columns(model: ItqModel) -> np.ndarray:
-    """Per-bit input-space directions of the rotated projection."""
-    return (model.W_pca @ model.R).T
 
 
 def write_pgm(path, image: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, pack_bits
+from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, pack_bits, unpack_bits
 from .errors import CapabilityError, InputError
 
 # probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before any log
@@ -78,6 +78,19 @@ class ModelParams:
         return ModelParams(
             self.W.copy(), self.U.copy(), self.beta.copy(), self.log_rho, self.code_domain
         )
+
+    def encode_batch(self, X) -> np.ndarray:
+        """MAP codes of the (already centred) rows of X as packed words."""
+        return encode_map_batch(self, X)
+
+    def reconstruct_batch(self, X) -> np.ndarray:
+        """Decoder means of the MAP codes of the rows of X."""
+        bits = unpack_bits(encode_map_batch(self, X), self.l)
+        return bits_to_values(bits, self.code_domain) @ self.U.T
+
+    def templates(self) -> np.ndarray:
+        """One input-space template per bit: the codebook columns, as (l, d)."""
+        return self.U.T
 
 
 def sigmoid(z):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,59 @@ def test_gradcheck_command():
     assert run("gradcheck", "--dim", "4", "--bits", "3", "--seed", "8") == 0
     assert run("gradcheck", "--dim", "4", "--bits", "3", "--domain", "plus-minus",
                "--seed", "8") == 0
+
+
+def _wrong_width_checkpoint(tmp_path, kind):
+    """A checkpoint for d=16 data: centred SGH, ITQ or PCA."""
+    data = "n=300,d=16,clusters=3,spread=1.0,seed=7"
+    ckpt = tmp_path / f"{kind}.ckpt"
+    if kind == "SGH":
+        argv = ["train", "--bits", "8", "--steps", "1", "--batch", "50", "--center", "on"]
+    else:
+        argv = ["baseline", "--bits", "8", "--method", kind.lower()]
+    assert run(*argv, "--data", data, "--format", "synth", "--out", ckpt) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [("encode", "SGH"), ("encode", "ITQ"), ("reconstruct", "SGH"), ("reconstruct", "ITQ"),
+     ("reconstruct", "PCA"), ("eval-asym", "SGH")],
+)
+def test_wrong_width_data_exits_2(tmp_path, command, kind):
+    ckpt = _wrong_width_checkpoint(tmp_path, kind)
+    narrow = ["n=50,d=9,clusters=3,spread=1.0,seed=8", "--format", "synth"]
+    out = tmp_path / "out"
+    if command == "encode":
+        argv = ["encode", "--ckpt", ckpt, "--data", *narrow, "--out", out]
+    elif command == "reconstruct":
+        argv = ["reconstruct", "--ckpt", ckpt, "--data", *narrow, "--shape", "3x3", "--out", out]
+    else:
+        data = "n=300,d=16,clusters=3,spread=1.0,seed=7"
+        codes, truth = tmp_path / "db.codes", tmp_path / "t.ivecs"
+        assert run("encode", "--ckpt", ckpt, "--data", data, "--format", "synth",
+                   "--out", codes) == 0
+        assert run("groundtruth", "--data", data, "--format", "synth", "--queries", data,
+                   "--queries-format", "synth", "--k", "5", "--out", truth) == 0
+        argv = ["eval", "--codes", codes, "--truth", truth, "--mode", "asym", "--ckpt", ckpt,
+                "--queries", narrow[0], "--queries-format", "synth", "--k", "5", "--out", out]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
+def test_groundtruth_empty_inputs_exit_2(tmp_path):
+    empty = tmp_path / "empty.fvecs"
+    empty.write_bytes(b"")
+    out = tmp_path / "t.ivecs"
+    assert run("groundtruth", "--data", empty, "--format", "fvecs", "--queries", empty,
+               "--queries-format", "fvecs", "--out", out) == 2
+    assert not out.exists()
+
+
+def test_eval_zero_bit_code_file_exits_3(tmp_path):
+    codes = tmp_path / "zero.codes"
+    codes.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 3, 0))
+    truth = tmp_path / "t.ivecs"
+    data_io.write_ivecs(truth, np.zeros((3, 1), dtype=np.int32))
+    assert run("eval", "--codes", codes, "--query-codes", codes, "--truth", truth,
+               "--k", "1", "--out", tmp_path / "r.csv") == 3

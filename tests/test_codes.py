@@ -16,11 +16,12 @@ from genhash.errors import InputError
 @pytest.mark.parametrize("l", [1, 7, 63, 64, 65, 128, 130, 200])
 def test_pack_unpack_round_trip(l):
     rng = np.random.default_rng(l)
-    bits = rng.random((17, l)) < 0.5
-    packed = pack_bits(bits)
-    assert packed.shape == (17, n_words(l))
-    assert packed.dtype == np.uint64
-    assert np.array_equal(unpack_bits(packed, l), bits)
+    for n in (17, 0):
+        bits = rng.random((n, l)) < 0.5
+        packed = pack_bits(bits)
+        assert packed.shape == (n, n_words(l))
+        assert packed.dtype == np.uint64
+        assert np.array_equal(unpack_bits(packed, l), bits)
 
 
 def test_bit_position_layout():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from genhash.baselines import ItqModel, PcaModel, itq_fit, pca_fit
-from genhash.codes import PLUS_MINUS
+from genhash.codes import CODE_DOMAINS, PLUS_MINUS
 from genhash.data_io import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     KIND_ITQ,
+    KIND_PCA,
     KIND_SGH,
     fnv1a_64,
     load_checkpoint,
@@ -23,6 +26,7 @@ from genhash.data_io import (
     write_packed_codes,
 )
 from genhash.errors import FormatError, InputError
+from genhash.model import ModelParams
 
 from conftest import HEADER_CORRUPTIONS, checkpoint_model, random_params, write_corrupt_checkpoint
 
@@ -314,6 +318,175 @@ def test_checkpoint_baseline_domain_must_be_zero(tmp_path, rng, kind):
         load_checkpoint(path)
 
 
+# The checkpoint writer and reader as written before the per-kind layout
+# table, kept verbatim (bar the two public names) as the byte-level reference.
+
+_KIND_TAGS = {KIND_SGH: 0, KIND_ITQ: 1, KIND_PCA: 2}
+_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+
+
+def _block(arr) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def _reference_save_checkpoint(path, model, center_mean=None):
+    """Serialize a model (with optional preprocessing mean) to a binary file."""
+    if isinstance(model, ModelParams):
+        kind = KIND_SGH
+        d, l = model.d, model.l
+        domain = CODE_DOMAINS.index(model.code_domain)
+        mean = np.zeros(d) if center_mean is None else np.asarray(center_mean, dtype=np.float64)
+        if mean.shape != (d,):
+            raise InputError(f"center mean must have length {d}")
+        payload = (
+            _block(model.W)
+            + _block(model.U)
+            + _block(model.beta)
+            + _block([model.log_rho])
+            + struct.pack("<B", 0 if center_mean is None else 1)
+            + _block(mean)
+        )
+        extra = 0
+    elif isinstance(model, ItqModel):
+        kind = KIND_ITQ
+        d, l = model.W_pca.shape
+        domain = 0
+        payload = (
+            _block(model.mean)
+            + _block(model.W_pca)
+            + _block(model.R)
+            + _block(model.scale)
+        )
+        extra = model.iterations
+    elif isinstance(model, PcaModel):
+        kind = KIND_PCA
+        d, l = model.W_pca.shape
+        domain = 0
+        payload = _block(model.mean) + _block(model.W_pca)
+        extra = 0
+    else:
+        raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
+
+    header = CHECKPOINT_MAGIC + struct.pack(
+        "<IBBIIq", CHECKPOINT_VERSION, _KIND_TAGS[kind], domain, d, l, extra
+    )
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
+        f.write(struct.pack("<Q", fnv1a_64(payload)))
+
+
+def _payload_size(kind: str, d: int, l: int) -> int:
+    """Bytes of payload that save_checkpoint writes for (kind, d, l)."""
+    if kind == KIND_SGH:
+        return 8 * (2 * d * l + l + 1 + d) + 1  # W, U, beta, log_rho, mean; centred flag
+    if kind == KIND_ITQ:
+        return 8 * (d + d * l + l * l + l)  # mean, W_pca, R, scale
+    return 8 * (d + d * l)  # mean, W_pca
+
+
+def _take(buf: memoryview, count: int, shape):
+    n_bytes = 8 * count
+    arr = np.frombuffer(buf[:n_bytes], dtype="<f8").reshape(shape).copy()
+    return arr, buf[n_bytes:]
+
+
+def _reference_load_checkpoint(path, expect_kind=None):
+    """Load a checkpoint; returns (model, center_mean_or_None).
+
+    Rejects unknown versions, checksum mismatches, and (when expect_kind is
+    given) checkpoints of a different model kind.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    head_size = len(CHECKPOINT_MAGIC) + struct.calcsize("<IBBIIq")
+    if len(raw) < head_size + 8:
+        raise FormatError(f"{path}: checkpoint truncated")
+    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
+    version, tag, domain, d, l, extra = struct.unpack_from(
+        "<IBBIIq", raw, len(CHECKPOINT_MAGIC)
+    )
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    if tag not in _TAG_KINDS:
+        raise FormatError(f"{path}: unknown model kind tag {tag}")
+    kind = _TAG_KINDS[tag]
+    if expect_kind is not None and kind != expect_kind:
+        raise FormatError(f"{path}: checkpoint holds a {kind} model, expected {expect_kind}")
+    # the header is outside the checksum: check it against the payload
+    # before any block is read from it
+    domains = len(CODE_DOMAINS) if kind == KIND_SGH else 1
+    if domain >= domains:
+        raise FormatError(f"{path}: bad code domain byte {domain} for a {kind} checkpoint")
+    payload = raw[head_size:-8]
+    expected = _payload_size(kind, d, l)
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: payload is {len(payload)} bytes, but a {kind} checkpoint with "
+            f"d={d}, l={l} holds {expected}"
+        )
+    (stored,) = struct.unpack("<Q", raw[-8:])
+    if fnv1a_64(payload) != stored:
+        raise FormatError(f"{path}: checksum mismatch; file is corrupted")
+
+    buf = memoryview(bytes(payload))
+    if kind == KIND_SGH:
+        W, buf = _take(buf, d * l, (d, l))
+        U, buf = _take(buf, d * l, (d, l))
+        beta, buf = _take(buf, l, (l,))
+        log_rho, buf = _take(buf, 1, (1,))
+        centered = buf[0]
+        buf = buf[1:]
+        mean, buf = _take(buf, d, (d,))
+        params = ModelParams(W, U, beta, float(log_rho[0]), CODE_DOMAINS[domain])
+        return params, (mean if centered else None)
+    if kind == KIND_ITQ:
+        mean, buf = _take(buf, d, (d,))
+        W_pca, buf = _take(buf, d * l, (d, l))
+        R, buf = _take(buf, l * l, (l, l))
+        scale, buf = _take(buf, l, (l,))
+        return ItqModel(mean=mean, W_pca=W_pca, R=R, iterations=int(extra), scale=scale), None
+    mean, buf = _take(buf, d, (d,))
+    W_pca, buf = _take(buf, d * l, (d, l))
+    return PcaModel(mean=mean, W_pca=W_pca), None
+
+
+_MODEL_FIELDS = {
+    ModelParams: ("W", "U", "beta", "log_rho", "code_domain"),
+    ItqModel: ("mean", "W_pca", "R", "scale", "iterations"),
+    PcaModel: ("mean", "W_pca"),
+}
+
+
+def _oracle_models(rng):
+    """(name, model, center_mean) for every kind, both SGH domains and means."""
+    for domain in CODE_DOMAINS:
+        for d, l in ((6, 5), (16, 70)):
+            params = random_params(rng, d, l, domain)
+            yield f"SGH-{domain}-{d}x{l}", params, None
+            yield f"SGH-{domain}-{d}x{l}-centred", params, rng.normal(size=d)
+    for d, l in ((6, 4), (5, 5)):
+        yield f"ITQ-{d}x{l}", itq_fit(rng.normal(size=(80, d)), l, iterations=3), None
+        yield f"PCA-{d}x{l}", PcaModel(*pca_fit(rng.normal(size=(50, d)), l)), None
+
+
+def test_checkpoint_bytes_and_arrays_equal_reference(tmp_path, rng):
+    for name, model, mean in _oracle_models(rng):
+        ours, ref = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.ref.ckpt"
+        save_checkpoint(ours, model, center_mean=mean)
+        _reference_save_checkpoint(ref, model, center_mean=mean)
+        assert ours.read_bytes() == ref.read_bytes(), name
+        got, got_mean = load_checkpoint(ours)
+        want, want_mean = _reference_load_checkpoint(ref)
+        assert type(got) is type(want), name
+        for attr in _MODEL_FIELDS[type(want)]:
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
+        assert (got_mean is None) == (want_mean is None), name
+        if want_mean is not None:
+            assert np.array_equal(got_mean, want_mean), name
+
+
 # ---------------------------------------------------------------------------
 # packed-code files
 # ---------------------------------------------------------------------------
@@ -339,4 +512,14 @@ def test_packed_codes_truncation_detected(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(FormatError):
+        read_packed_codes(path)
+
+
+def test_packed_codes_zero_length_rejected(tmp_path):
+    with pytest.raises(InputError):
+        write_packed_codes(tmp_path / "codes.bin", np.zeros((3, 0), dtype=np.uint64), 0)
+    # three 0-bit codes take no words, so the header alone passes the size check
+    path = tmp_path / "zero.bin"
+    path.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 3, 0))
+    with pytest.raises(FormatError, match="code length"):
         read_packed_codes(path)

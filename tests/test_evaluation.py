@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from genhash.baselines import PcaModel, itq_fit, pca_fit
-from genhash.codes import HashCode, pack_bits
+from genhash.baselines import ItqModel, PcaModel, itq_encode_batch, itq_fit, pca_fit
+from genhash.codes import CODE_DOMAINS, HashCode, bits_to_values, n_words, pack_bits, unpack_bits
 from genhash.errors import InputError
 from genhash.evaluation import (
     DEFAULT_N_GRID,
@@ -14,10 +14,10 @@ from genhash.evaluation import (
     reconstruction_grid,
     write_pgm,
 )
-from genhash.model import ModelParams, decode, encode_map
+from genhash.model import ModelParams, decode, encode_map, encode_map_batch
 from genhash.search import BinaryIndex, knn_hamming
 
-from conftest import random_params
+from conftest import checkpoint_model, random_params
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,90 @@ def test_mean_recon_error_baseline_models(rng):
     assert err_itq > 0
     pca = PcaModel(*pca_fit(X, 6))
     assert mean_recon_error(pca, X) < 1e-20  # full-rank projection is lossless
+
+
+@pytest.mark.parametrize("kind", ["SGH", "ITQ", "PCA"])
+def test_mean_recon_error_rejects_wrong_width(rng, kind):
+    model = checkpoint_model(kind, rng)
+    with pytest.raises(InputError):
+        mean_recon_error(model, rng.normal(size=(10, model.d - 1)))
+    with pytest.raises(InputError):
+        model.reconstruct_batch(rng.normal(size=model.d))
+
+
+# ---------------------------------------------------------------------------
+# the hasher surface shared by SGH, ITQ and PCA
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["SGH", "ITQ", "PCA"])
+def test_hasher_surface_contract(rng, kind):
+    model = checkpoint_model(kind, rng)
+    d, l = model.d, model.l
+    X = rng.normal(size=(7, d))
+    for rows in (X, X[:0]):
+        recon = model.reconstruct_batch(rows)
+        assert recon.shape == rows.shape and recon.dtype == np.float64
+        if kind == "PCA":
+            with pytest.raises(InputError):
+                model.encode_batch(rows)
+        else:
+            codes = model.encode_batch(rows)
+            assert codes.shape == (len(rows), n_words(l)) and codes.dtype == np.uint64
+    templates = model.templates()
+    assert templates.shape == (l, d) and templates.dtype == np.float64
+
+
+# Reconstruction and templates as dispatched before the shared surface, kept
+# verbatim as the bitwise reference.
+
+
+def _reconstruct_batch(model, X) -> np.ndarray:
+    """encode-then-decode each row of X under the given model kind."""
+    X = np.asarray(getattr(X, "rows", X), dtype=np.float64)
+    if isinstance(model, ModelParams):
+        bits = unpack_bits(encode_map_batch(model, X), model.l)
+        return bits_to_values(bits, model.code_domain) @ model.U.T
+    if isinstance(model, ItqModel):
+        bits = unpack_bits(itq_encode_batch(model, X), model.l)
+        signs = 2.0 * bits - 1.0
+        return model.mean + (signs * model.scale) @ model.R.T @ model.W_pca.T
+    if isinstance(model, PcaModel):
+        c = X - model.mean
+        return model.mean + c @ model.W_pca @ model.W_pca.T
+    raise InputError(f"cannot reconstruct with model of type {type(model).__name__}")
+
+
+def _reference_templates(params):
+    if isinstance(params, ModelParams):
+        templates = params.U.T
+    elif isinstance(params, ItqModel):
+        templates = model_template_columns(params)
+    elif isinstance(params, PcaModel):
+        templates = params.W_pca.T
+    else:
+        raise InputError(f"cannot render templates for {type(params).__name__}")
+    return templates
+
+
+def model_template_columns(model: ItqModel) -> np.ndarray:
+    """Per-bit input-space directions of the rotated projection."""
+    return (model.W_pca @ model.R).T
+
+
+def test_reconstruction_and_templates_bitwise_equal_reference(rng):
+    models = [random_params(rng, d, l, domain) for domain in CODE_DOMAINS
+              for d, l in ((6, 5), (16, 70))]
+    for d, l in ((6, 4), (9, 9)):
+        models.append(itq_fit(rng.normal(size=(80, d)), l, iterations=5))
+        models.append(PcaModel(*pca_fit(rng.normal(size=(50, d)), l)))
+    for model in models:
+        X = rng.normal(size=(40, model.d)) * 3.0
+        assert np.array_equal(model.reconstruct_batch(X), _reconstruct_batch(model, X))
+        assert np.array_equal(model.templates(), _reference_templates(model))
+        assert mean_recon_error(model, X) == float(
+            ((X - _reconstruct_batch(model, X)) ** 2).sum(axis=1).mean()
+        )
 
 
 # ---------------------------------------------------------------------------
