@@ -158,15 +158,18 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
         q, r = np.linalg.qr(rng.normal(size=(rank, rank)))
         R = q * np.sign(np.diag(r))
 
+    # V @ R for the current R serves the loss, the next sign step and scale;
+    # the signs come from arithmetic on the mask, since a select on a random
+    # mask is branch-bound and these are the same values
     losses = []
+    VR = V @ R
     for _ in range(iterations):
-        VR = V @ R
-        B = np.where(VR >= 0.0, 1.0, -1.0)
+        B = (VR >= 0.0) * 2.0 - 1.0
         s_hat, _, s_t = np.linalg.svd(B.T @ V)
         R = s_t.T @ s_hat.T
-        losses.append(float(((B - V @ R) ** 2).sum()))
+        VR = V @ R
+        losses.append(float(((B - VR) ** 2).sum()))
 
-    VR = V @ R
     scale = np.abs(VR).mean(axis=0)
     return ItqModel(
         mean=mean,

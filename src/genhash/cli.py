@@ -114,8 +114,10 @@ def cmd_groundtruth(args) -> int:
         raise InputError("ground truth needs a non-empty dataset and query set")
     if queries.d != dataset.d:
         raise InputError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
-    knn = search.knn_exact_l2 if args.metric == "l2" else search.knn_exact_ip
-    lists = np.stack([knn(dataset.rows, q, args.k) for q in queries.rows])
+    if args.metric == "l2":
+        lists = search.knn_exact_l2_batch(dataset.rows, queries.rows, args.k)
+    else:
+        lists = np.stack([search.knn_exact_ip(dataset.rows, q, args.k) for q in queries.rows])
     data_io.write_ivecs(args.out, lists)
     return EXIT_OK
 

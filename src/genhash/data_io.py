@@ -224,7 +224,12 @@ def save_checkpoint(path, model, center_mean=None):
     if kind is None:
         raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
     d, l = model.d, model.l
-    payload = b"".join(_block(getattr(model, attr)) for attr in _LAYOUTS[kind][2](d, l))
+    blocks = _LAYOUTS[kind][2](d, l)
+    for attr, shape in blocks.items():
+        got = np.shape(getattr(model, attr))
+        if got != shape:
+            raise InputError(f"{kind} block {attr} has shape {got}, expected {shape}")
+    payload = b"".join(_block(getattr(model, attr)) for attr in blocks)
     domain = CODE_DOMAINS.index(model.code_domain) if kind == KIND_SGH else 0
     extra = model.iterations if kind == KIND_ITQ else 0
     if kind == KIND_SGH:

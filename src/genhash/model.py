@@ -94,14 +94,17 @@ class ModelParams:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, without per-sign gathers.
+
+    With e = exp(-|z|), which cannot overflow, it is 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere; the numerator max(e, z >= 0) picks 1
+    or e without a data-dependent branch. -|z| is taken as min(z, -z),
+    which passes a NaN through with its sign and payload, so the result
+    equals the two-branch form bit for bit, at +-0, +-inf and NaN too.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def softplus(z):

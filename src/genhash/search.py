@@ -121,13 +121,29 @@ def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.nda
 
 def knn_exact_l2(dataset, query, k: int) -> np.ndarray:
     """Brute-force squared-Euclidean top-k, ascending distance, ties by id."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise InputError("query dimension does not match dataset")
+    return knn_exact_l2_batch(dataset, query[None, :], k)[0]
+
+
+def knn_exact_l2_batch(dataset, queries, k: int) -> np.ndarray:
+    """knn_exact_l2 over a (Q, d) array of queries; (Q, min(k,N)) ids.
+
+    The row norms are computed once for all queries. Each query keeps its
+    own matrix-vector product, so every list is bit-identical to a
+    knn_exact_l2 call on that query.
+    """
     _check_n(k)
     rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    if rows.ndim != 2 or query.shape != (rows.shape[1],):
+    queries = np.asarray(queries, dtype=np.float64)
+    if rows.ndim != 2 or queries.ndim != 2 or queries.shape[1] != rows.shape[1]:
         raise InputError("query dimension does not match dataset")
-    d2 = (rows * rows).sum(axis=1) - 2.0 * (rows @ query)
-    return _select_smallest_float(d2, k)
+    norms = (rows * rows).sum(axis=1)
+    out = np.empty((len(queries), min(k, len(rows))), dtype=np.int64)
+    for row, query in zip(out, queries):
+        row[:] = _select_smallest_float(norms - 2.0 * (rows @ query), k)
+    return out
 
 
 def knn_exact_ip(dataset, query, k: int) -> np.ndarray:

@@ -19,6 +19,11 @@ gradients over rows (x, p, b) with weights w. It has three callers:
     for one x, weighted by q(h|x). Exhaustive enumeration (small l)
     recovers the true gradient of the exact objective and is used by
     exact_grad_check.
+
+The kernel also returns two per-row terms it needs anyway: log(P), from which
+it forms the logit, and the squared residual norms ||x - U h||^2, from which
+it forms dlog_rho. The training step reuses them for the posterior and the
+reconstruction terms of its sampled loss rather than computing them again.
 """
 
 import time
@@ -158,7 +163,7 @@ CLAMP_LOGIT = np.log((1.0 - 1e-7) / 1e-7)
 
 
 def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, include_direct: bool):
-    """Weighted-mean GradientSet over rows (x, p, b) of X, P, bits; also returns the residuals.
+    """Weighted-mean GradientSet over rows (x, p, b) of X, P, bits; also log(P) and ||r||^2.
 
     Row i contributes the decoder gradients of grad_decoder and the encoder
     estimate x c^T, where c_k is the flip delta (unbiased) or the loss slope
@@ -168,7 +173,8 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     """
     total = weights.sum()
     rho2 = np.exp(2.0 * params.log_rho)
-    logit = np.log(P) - np.log1p(-P)
+    log_p = np.log(P)
+    logit = log_p - np.log1p(-P)
     values = bits_to_values(bits, params.code_domain)
     R = X - values @ params.U.T
 
@@ -197,7 +203,7 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     if include_direct:
         coeff = coeff + (bits - P)
     dW = X.T @ (coeff * weights[:, None]) / total
-    return GradientSet(dW, dU, dbeta, dlog_rho), R
+    return GradientSet(dW, dU, dbeta, dlog_rho), log_p, rsq
 
 
 def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIASED,
@@ -304,15 +310,18 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
         Z = X @ params.W
         P = clamp_probs(sigmoid(Z))
         bits = (P >= xi).astype(np.float64)
-        grads, R = _grad_kernel(params, X, P, bits, np.ones(len(X)), estimator, include_direct)
+        grads, log_p, rsq = _grad_kernel(
+            params, X, P, bits, np.ones(len(X)), estimator, include_direct
+        )
 
-        # mean sampled loss of the batch
+        # mean sampled loss of the batch; the posterior term blends rather
+        # than selects, since a select on a random mask is branch-bound
         sp = softplus(params.beta)
         mean_loss = float(
-            ((R * R).sum(axis=1) / (2.0 * rho2)).mean()
+            (rsq / (2.0 * rho2)).mean()
             + 0.5 * params.d * np.log(2.0 * np.pi * rho2)
             + (-(bits @ params.beta) + sp.sum()).mean()
-            + (bits * np.log(P) + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
+            + (bits * log_p + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
         )
 
         # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits

@@ -128,6 +128,47 @@ def test_itq_two_dim_beats_grid_search(seed):
     assert model.quant_losses[-1] <= best + 1e-6
 
 
+def _reference_itq_fit(X, l, iterations, rotation_seed=None):
+    """itq_fit's alternation as written before V @ R was reused: (R, losses, scale)."""
+    mean, W_pca = pca_fit(X, l)
+    rank = W_pca.shape[1]
+    V = (X - mean) @ W_pca
+    if rotation_seed is None:
+        R = np.eye(rank)
+    else:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rotation_seed)))
+        q, r = np.linalg.qr(rng.normal(size=(rank, rank)))
+        R = q * np.sign(np.diag(r))
+
+    losses = []
+    for _ in range(iterations):
+        VR = V @ R
+        B = np.where(VR >= 0.0, 1.0, -1.0)
+        s_hat, _, s_t = np.linalg.svd(B.T @ V)
+        R = s_t.T @ s_hat.T
+        losses.append(float(((B - V @ R) ** 2).sum()))
+
+    VR = V @ R
+    scale = np.abs(VR).mean(axis=0)
+    return R, losses, scale
+
+
+@pytest.mark.filterwarnings("ignore:covariance rank")
+@pytest.mark.parametrize("rotation_seed", [None, 3])
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_itq_fit_bitwise_equals_reference(rng, rotation_seed, rank_deficient):
+    X = rng.normal(size=(300, 8))
+    if rank_deficient:
+        X = X[:, :3] @ rng.normal(size=(3, 8))
+    for iterations in (0, 1, 20):
+        model = itq_fit(X, 5, iterations, rotation_seed)
+        assert model.rank_ok != rank_deficient
+        R, losses, scale = _reference_itq_fit(X, 5, iterations, rotation_seed)
+        assert np.array_equal(model.R, R)
+        assert np.array_equal(model.quant_losses, losses)
+        assert np.array_equal(model.scale, scale)
+
+
 def test_itq_random_rotation_option(rng):
     X = rng.normal(size=(100, 5))
     m1 = itq_fit(X, 3, iterations=0, rotation_seed=7)

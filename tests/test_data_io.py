@@ -318,6 +318,27 @@ def test_checkpoint_baseline_domain_must_be_zero(tmp_path, rng, kind):
         load_checkpoint(path)
 
 
+def _wrong_shaped(kind, rng):
+    """A model of `kind` with one block that disagrees with its (d, l): (model, block)."""
+    if kind == KIND_SGH:
+        params = random_params(rng, 6, 5, PLUS_MINUS)
+        params.beta = np.zeros(4)
+        return params, "beta"
+    if kind == KIND_ITQ:
+        # built by hand without scale, whose default is an empty array
+        return ItqModel(mean=np.zeros(4), W_pca=np.eye(4)[:, :2], R=np.eye(2), iterations=0), "scale"
+    return PcaModel(np.zeros(5), np.eye(6)[:, :3]), "mean"
+
+
+@pytest.mark.parametrize("kind", [KIND_SGH, KIND_ITQ, KIND_PCA])
+def test_save_checkpoint_rejects_wrong_block_shape(tmp_path, rng, kind):
+    model, block = _wrong_shaped(kind, rng)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(InputError, match=f"{kind} block {block} has shape"):
+        save_checkpoint(path, model)
+    assert not path.exists()
+
+
 # The checkpoint writer and reader as written before the per-kind layout
 # table, kept verbatim (bar the two public names) as the byte-level reference.
 

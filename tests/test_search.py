@@ -11,6 +11,7 @@ from genhash.search import (
     hamming_scan,
     knn_exact_ip,
     knn_exact_l2,
+    knn_exact_l2_batch,
     knn_hamming,
     knn_hamming_batch,
 )
@@ -202,6 +203,7 @@ def test_negative_n_rejected(rng):
         lambda n: knn_hamming(index, query, n),
         lambda n: knn_hamming_batch(index, query.words[None, :], n),
         lambda n: knn_exact_l2(X, X[0], n),
+        lambda n: knn_exact_l2_batch(X, X[:2], n),
         lambda n: knn_exact_ip(X, X[0], n),
         lambda n: asymmetric_ip_search(index, params, X[0], n),
     ]
@@ -250,6 +252,34 @@ def test_knn_exact_l2_matches_independent_oracle(rng):
     d = [float(np.dot(x - q, x - q)) for x in X]
     oracle = sorted(range(50), key=lambda i: (d[i], i))[:9]
     assert list(knn_exact_l2(X, q, 9)) == oracle
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_knn_exact_l2_batch_matches_per_query(rng, duplicates):
+    X = rng.normal(size=(40, 5))
+    if duplicates:
+        # rows drawn from 6 distinct points: every distance is tied
+        X = X[rng.integers(0, 6, size=40)]
+    Q = np.concatenate([rng.normal(size=(5, 5)), X[:3]])
+    for k in (0, 1, 10, len(X), len(X) + 5):
+        out = knn_exact_l2_batch(X, Q, k)
+        assert out.shape == (len(Q), min(k, len(X))) and out.dtype == np.int64
+        for row, q in zip(out, Q):
+            assert np.array_equal(row, knn_exact_l2(X, q, k))
+            d2 = (X * X).sum(axis=1) - 2.0 * (X @ q)
+            assert np.array_equal(row, np.lexsort((np.arange(len(X)), d2))[:k])
+    assert knn_exact_l2_batch(X, Q[:0], 10).shape == (0, 10)
+
+
+def test_knn_exact_l2_batch_shape_errors(rng):
+    X = rng.normal(size=(6, 3))
+    for queries in (X[0], X[:, :2], X[None]):
+        with pytest.raises(InputError, match="dimension"):
+            knn_exact_l2_batch(X, queries, 2)
+    with pytest.raises(InputError, match="dimension"):
+        knn_exact_l2_batch(X[0], X[:2], 2)
+    with pytest.raises(InputError, match="dimension"):
+        knn_exact_l2(X, X[:1], 2)
 
 
 def test_knn_exact_ip(rng):

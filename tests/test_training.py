@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,19 +377,51 @@ def _loss_slope(params: ModelParams, resid, logit):
     return -s / rho2 + 0.5 * (-params.beta + logit)
 
 
+def _reference_sigmoid(z):
+    """The masked two-branch logistic function, kept verbatim as the oracle."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_equals_reference(rng):
+    nan_payload = np.array([0xFFF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0, np.nan, -np.nan,
+         nan_payload, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308, 37.0, -37.0]
+    )
+    cases = [0.0, np.float64(-0.0), np.asarray(np.nan), np.asarray(-800.0), special,
+             special[::-2], rng.normal(size=1000) * 50, rng.normal(size=(37, 23)) * 50,
+             np.resize(special, (4, 19))]
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in cases:
+            got, ref = sigmoid(z), _reference_sigmoid(z)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.array_equal(got, ref, equal_nan=True)
+            # equal bit patterns: the sign of every zero and NaN, and NaN payloads
+            assert np.array_equal(
+                np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(ref).view(np.uint64)
+            )
+
+
 def _batch_stats_inner(params: ModelParams, X, xi, estimator: str, include_direct: bool):
     B = X.shape[0]
     d, l = params.d, params.l
     rho2 = np.exp(2.0 * params.log_rho)
     Z = X @ params.W
-    P = clamp_probs(sigmoid(Z))
+    P = clamp_probs(_reference_sigmoid(Z))
     logit = np.log(P) - np.log1p(-P)
     bits = (P >= xi).astype(np.float64)
     values = bits_to_values(bits, params.code_domain)
     R = X - values @ params.U.T
 
     dU = -(R.T @ values) / (B * rho2)
-    dbeta = sigmoid(params.beta) - bits.mean(axis=0)
+    dbeta = _reference_sigmoid(params.beta) - bits.mean(axis=0)
     rsq = (R * R).sum(axis=1)
     dlog_rho = d - float(rsq.mean()) / rho2
 
