@@ -7,8 +7,10 @@ that best aligns projections with their sign patterns. Its codes are
 directly comparable to the learned hash codes downstream.
 
 PcaModel, ItqModel and the learned ModelParams share one hasher surface:
-d, l, encode_batch(X), reconstruct_batch(X) and templates(). PCA has no
-binary code, so its encode_batch raises InputError.
+d, l, encode_batch(X), reconstruct_batch(X) and templates(), and the input
+checks of model.Hasher. PCA has no binary code, so its encode_batch raises
+InputError. The per-sample functions wrap the batch code: ItqModel._project,
+ItqModel._decode and PcaModel.reconstruct_batch.
 """
 
 import warnings
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import HashCode, pack_bits, unpack_bits
+from .codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits
 from .errors import InputError
+from .model import Hasher
 
 DEFAULT_ITQ_ITERATIONS = 50
 
@@ -25,7 +28,7 @@ DEFAULT_ITQ_ITERATIONS = 50
 RANK_RTOL = 1e-10
 
 
-class _Projection:
+class _Projection(Hasher):
     """What both baselines share: a data mean and (d, l) principal directions W_pca."""
 
     @property
@@ -35,12 +38,6 @@ class _Projection:
     @property
     def l(self) -> int:
         return self.W_pca.shape[1]
-
-    def _matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise InputError(f"expected (N, {self.d}) data matrix, got {X.shape}")
-        return X
 
 
 @dataclass
@@ -86,7 +83,15 @@ class ItqModel(_Projection):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Sign codes of the rows of X mapped back through the scaled binary cube."""
-        signs = 2.0 * unpack_bits(itq_encode_batch(self, X), self.l) - 1.0
+        return self._decode(self._project(self._matrix(X)) >= 0.0)
+
+    def _project(self, X) -> np.ndarray:
+        """Rotated projections (X - mean) W_pca R of a (d,) point or (N, d) rows."""
+        return (X - self.mean) @ self.W_pca @ self.R
+
+    def _decode(self, bits) -> np.ndarray:
+        """Input-space points of (..., l) sign codes: mean + (scale * signs) R^T W_pca^T."""
+        signs = bits_to_values(bits, PLUS_MINUS)
         return self.mean + (signs * self.scale) @ self.R.T @ self.W_pca.T
 
     def templates(self) -> np.ndarray:
@@ -95,7 +100,7 @@ class ItqModel(_Projection):
 
 
 def _rows(dataset) -> np.ndarray:
-    rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
+    rows = np.asarray(dataset, dtype=np.float64)
     if rows.ndim != 2:
         raise InputError("expected a (N, d) data matrix")
     return rows
@@ -183,10 +188,7 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
 
 
 def itq_project(model: ItqModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.mean.shape[0],):
-        raise InputError(f"data point has shape {x.shape}, expected {model.mean.shape}")
-    return (x - model.mean) @ model.W_pca @ model.R
+    return model._project(model._point(x))
 
 
 def itq_encode(model: ItqModel, x) -> HashCode:
@@ -195,21 +197,14 @@ def itq_encode(model: ItqModel, x) -> HashCode:
 
 
 def itq_encode_batch(model: ItqModel, X) -> np.ndarray:
-    return pack_bits((model._matrix(X) - model.mean) @ model.W_pca @ model.R >= 0.0)
+    return pack_bits(model._project(model._matrix(X)) >= 0.0)
 
 
 def itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:
     """Map a sign code back to input space through the scaled binary cube."""
-    if h.l != model.l:
-        raise InputError(f"code length {h.l} != model bits {model.l}")
-    signs = 2.0 * h.to_bits() - 1.0
-    return model.mean + model.W_pca @ (model.R @ (model.scale * signs))
+    return model._decode(model._bits(h))
 
 
 def pca_reconstruct(model: PcaModel, x) -> np.ndarray:
     """Project onto the principal subspace and lift back: mean + W W^T (x - mean)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.mean.shape[0],):
-        raise InputError(f"data point has shape {x.shape}, expected {model.mean.shape}")
-    c = x - model.mean
-    return model.mean + model.W_pca @ (model.W_pca.T @ c)
+    return model.reconstruct_batch(model._point(x)[None, :])[0]

@@ -17,7 +17,7 @@ import numpy as np
 from . import data_io, evaluation, search, training
 from .baselines import itq_encode_batch  # a patch point in bench/timing.py PATCH_POINTS
 from .baselines import itq_fit, pca_fit, PcaModel
-from .codes import ZERO_ONE, PLUS_MINUS, HashCode
+from .codes import CODE_DOMAINS, ZERO_ONE, HashCode
 from .errors import CapabilityError, FormatError, InputError, TrainingError
 from .model import encode_map_batch  # a patch point in bench/timing.py PATCH_POINTS
 from .model import ModelParams
@@ -27,9 +27,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FORMAT = 3
 EXIT_TRAINING = 4
-
-_DOMAINS = {"zero-one": ZERO_ONE, "plus-minus": PLUS_MINUS}
-
 
 def _parse_synth_spec(spec: str, default_seed: int):
     """Parse "n=2000,d=16,clusters=10,spread=1.0[,seed=S]" for --format synth."""
@@ -70,9 +67,7 @@ def _load_model_and_rows(ckpt: str, path: str, fmt: str, seed: int, expect_kind=
     place by the SGH checkpoint's mean if it has one; an empty file gives (0, d)."""
     model, mean = data_io.load_checkpoint(ckpt, expect_kind)
     dataset = _load_data(path, fmt, seed)
-    rows = dataset.rows if dataset.n else np.empty((0, model.d))
-    if rows.shape[1] != model.d:
-        raise InputError(f"data dimension {rows.shape[1]} != checkpoint dimension {model.d}")
+    rows = model._matrix(dataset.rows if dataset.n else np.empty((0, model.d)))
     if mean is not None:
         rows -= mean
     return model, rows
@@ -92,7 +87,7 @@ def cmd_train(args) -> int:
         estimator=args.estimator,
         seed=args.seed,
         optimizer=args.optimizer,
-        code_domain=_DOMAINS[args.domain],
+        code_domain=args.domain,
     )
     params, log = train(dataset, config)
     data_io.save_checkpoint(args.out, params, center_mean=mean)
@@ -112,8 +107,6 @@ def cmd_groundtruth(args) -> int:
     queries = _load_data(args.queries, args.queries_format, args.seed + 1)
     if dataset.n == 0 or queries.n == 0:
         raise InputError("ground truth needs a non-empty dataset and query set")
-    if queries.d != dataset.d:
-        raise InputError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
     if args.metric == "l2":
         lists = search.knn_exact_l2_batch(dataset.rows, queries.rows, args.k)
     else:
@@ -183,7 +176,7 @@ def cmd_gradcheck(args) -> int:
         rng.normal(size=(args.dim, args.bits)),
         rng.normal(size=args.bits),
         float(rng.normal(scale=0.3)),
-        _DOMAINS[args.domain],
+        args.domain,
     )
     x = rng.normal(size=args.dim)
     report = exact_grad_check(params, x)
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--estimator", choices=["approx", "unbiased"], default="unbiased")
-    p.add_argument("--domain", choices=["zero-one", "plus-minus"], default="zero-one")
+    p.add_argument("--domain", choices=CODE_DOMAINS, default=ZERO_ONE)
     p.add_argument("--optimizer", choices=["sgd", "adam"], default=training.OPTIMIZER_SGD)
     p.add_argument("--center", choices=["on", "off"], default="on")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -289,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify estimator gradients against enumeration")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--bits", type=int, default=3)
-    p.add_argument("--domain", choices=["zero-one", "plus-minus"], default="zero-one")
+    p.add_argument("--domain", choices=CODE_DOMAINS, default=ZERO_ONE)
     p.add_argument("--w-tol", type=float, default=1e-6)
     p.add_argument("--decoder-tol", type=float, default=1e-4)
     _add_common(p)

@@ -2,11 +2,12 @@
 
 A code of l bits is stored in ceil(l/64) unsigned 64-bit words with
 little-endian bit order: bit k lives in word k//64 at position k%64, and
-padding bits beyond l in the last word are always zero.
+padding bits beyond l in the last word are always zero; the words are the
+np.packbits bytes (little bit order) viewed as little-endian uint64.
 
-Bit value 1 means the latent is "on". Under the "zero-one" domain the code
-values are the bits themselves; under "plus-minus" bit 1 maps to +1 and
-bit 0 to -1.
+Bit value 1 means the latent is "on". bits_to_values maps bits to code
+values: the bits themselves under the "zero-one" domain; under "plus-minus"
+bit 1 maps to +1 and bit 0 to -1.
 """
 
 from dataclasses import dataclass
@@ -38,23 +39,15 @@ def pack_bits(bits) -> np.ndarray:
     """Pack a (..., l) array of 0/1 bits into (..., ceil(l/64)) uint64 words."""
     bits = np.asarray(bits)
     l = bits.shape[-1]
-    nw = n_words(l)
-    padded = np.zeros(bits.shape[:-1] + (nw * 8 * 8,), dtype=np.uint8)
+    padded = np.zeros(bits.shape[:-1] + (n_words(l) * WORD_BITS,), dtype=np.uint8)
     padded[..., :l] = bits != 0
-    as_bytes = np.packbits(padded, axis=-1, bitorder="little")
-    as_bytes = as_bytes.reshape(as_bytes.shape[:-1] + (nw, 8)).astype(np.uint64)
-    shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
-    return (as_bytes << shifts).sum(axis=-1, dtype=np.uint64)
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
 def unpack_bits(words, l: int) -> np.ndarray:
     """Inverse of pack_bits; returns a (..., l) boolean array."""
-    words = np.asarray(words, dtype=np.uint64)
-    shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
-    as_bytes = ((words[..., None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-    flat = as_bytes.reshape(as_bytes.shape[:-2] + (8 * words.shape[-1],))
-    bits = np.unpackbits(flat, axis=-1, bitorder="little")
-    return bits[..., :l].astype(bool)
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :l].astype(bool)
 
 
 def bits_to_values(bits, code_domain: str) -> np.ndarray:

@@ -34,7 +34,7 @@ FNV_PRIME = 0x100000001B3
 
 @dataclass
 class Dataset:
-    """Dense feature matrix, held as float64 in memory (32-bit on disk)."""
+    """Dense feature matrix, float64 in memory (32-bit on disk); np.asarray gives the rows."""
 
     rows: np.ndarray
     mean: np.ndarray | None = None
@@ -46,6 +46,9 @@ class Dataset:
             raise InputError("dataset rows must form a (N, d) matrix")
         if self.rows.size and not np.all(np.isfinite(self.rows)):
             raise InputError("dataset contains non-finite values")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
 
     @property
     def n(self) -> int:

@@ -1,8 +1,9 @@
 """Retrieval recall curves, reconstruction-error metrics, and image grids.
 
 RecallK@N is the fraction of the K true nearest neighbors present among the
-N retrieved items, averaged over queries. Curves are evaluated on a fixed N
-grid clipped to the index size and emitted as CSV rows method,bits,K,N,recall.
+N retrieved items, averaged over queries; each distinct id counts once, by
+the hit counts of _distinct_hits. Curves are evaluated on a fixed N grid
+clipped to the index size and emitted as CSV rows method,bits,K,N,recall.
 
 Reconstruction error and image grids take any model with the shared hasher
 surface (SGH ModelParams, ItqModel, PcaModel): they call its
@@ -22,15 +23,19 @@ DEFAULT_N_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 def recall_k_at_n(retrieved, truth, k: int, n: int) -> float:
-    """|top-n retrieved intersect top-k truth| / k."""
+    """|distinct ids of top-n retrieved, among top-k truth| / k."""
+    return float(_distinct_hits(np.asarray(retrieved)[:n], truth, k)[-1] / k)
+
+
+def _distinct_hits(retrieved, truth, k: int) -> np.ndarray:
+    """hits[i] = number of distinct ids of retrieved[:i] in truth[:k], i = 0..len(retrieved)."""
     if k < 1:
         raise InputError("k must be >= 1")
-    truth = np.asarray(truth)
-    retrieved = np.asarray(retrieved)
     if len(truth) < k:
         raise InputError(f"truth list has {len(truth)} entries, need at least {k}")
-    hits = np.intersect1d(retrieved[:n], truth[:k], assume_unique=True)
-    return len(hits) / k
+    ids, first = np.unique(retrieved, return_index=True)
+    found = first[np.isin(ids, truth[:k])]
+    return np.bincount(found + 1, minlength=len(retrieved) + 1).cumsum()
 
 
 @dataclass
@@ -77,7 +82,7 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
     for q, truth in zip(queries, truth_lists):
         ranked = np.asarray(searcher(q, max_n))
         grid = tuple(n for n in grid if n <= len(ranked)) or (len(ranked),)
-        rows.append([recall_k_at_n(ranked, truth, k, n) for n in grid])
+        rows.append(_distinct_hits(ranked, truth, k)[list(grid)] / k)
     per_query = np.asarray(rows, dtype=np.float64)
     return EvalReport(
         k=k,
@@ -90,7 +95,7 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
 
 def mean_recon_error(model, dataset) -> float:
     """Mean squared reconstruction error ||x - reconstruct(encode(x))||^2."""
-    X = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
+    X = np.asarray(dataset, dtype=np.float64)
     resid = X - model.reconstruct_batch(X)
     return float((resid * resid).sum(axis=1).mean())
 
@@ -109,7 +114,7 @@ def reconstruction_grid(params, samples, image_shape) -> np.ndarray:
     (one per bit, the codebook columns) wrap into additional rows of the
     same width; unused cells stay black.
     """
-    samples = np.asarray(getattr(samples, "rows", samples), dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise InputError("need a non-empty (n, d) sample matrix")
     h, w = image_shape

@@ -9,13 +9,17 @@ All operations here are pure and treat ModelParams as read-only, so they
 are safe to call concurrently on shared parameters. Data points are plain
 1-D float arrays; encoder probabilities are plain 1-D arrays clamped into
 (0, 1).
+
+Written once here: Hasher's input checks for every model, the decoder mean
+ModelParams.decode_batch, and loss_terms, the batched loss terms that
+loss_bits, code_log_q and the training step use.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, pack_bits, unpack_bits
+from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, pack_bits
 from .errors import CapabilityError, InputError
 
 # probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before any log
@@ -25,8 +29,29 @@ PROB_CLAMP = 1e-7
 ENUM_MAX_BITS = 20
 
 
+class Hasher:
+    """Input checks shared by every model with input width d and code length l."""
+
+    def _matrix(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise InputError(f"expected (N, {self.d}) data matrix, got {X.shape}")
+        return X
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.d,):
+            raise InputError(f"data point has shape {x.shape}, expected ({self.d},)")
+        return x
+
+    def _bits(self, h: HashCode) -> np.ndarray:
+        if h.l != self.l:
+            raise InputError(f"code length {h.l} != model code length {self.l}")
+        return h.to_bits()
+
+
 @dataclass
-class ModelParams:
+class ModelParams(Hasher):
     """Learned quantities: encoder weights, codebook, prior logits, noise scale.
 
     W, U are (d, l); column k of W is the encoder weight for bit k and
@@ -85,7 +110,10 @@ class ModelParams:
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Decoder means of the MAP codes of the rows of X."""
-        bits = unpack_bits(encode_map_batch(self, X), self.l)
+        return self.decode_batch(self._matrix(X) @ self.W >= 0.0)
+
+    def decode_batch(self, bits) -> np.ndarray:
+        """Decoder means U h of a (..., l) array of 0/1 codes, as (..., d)."""
         return bits_to_values(bits, self.code_domain) @ self.U.T
 
     def templates(self) -> np.ndarray:
@@ -117,17 +145,9 @@ def clamp_probs(p):
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _check_point(params: ModelParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise InputError(f"data point has shape {x.shape}, expected ({params.d},)")
-    return x
-
-
 def encode_logits(params: ModelParams, x) -> np.ndarray:
     """Pre-sigmoid encoder activations W^T x."""
-    x = _check_point(params, x)
-    return params.W.T @ x
+    return params.W.T @ params._point(x)
 
 
 def encode_probs(params: ModelParams, x) -> np.ndarray:
@@ -142,10 +162,7 @@ def encode_map(params: ModelParams, x) -> HashCode:
 
 def encode_map_batch(params: ModelParams, X) -> np.ndarray:
     """MAP-encode the rows of X; returns (N, ceil(l/64)) packed words."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.d:
-        raise InputError(f"expected (N, {params.d}) data matrix, got {X.shape}")
-    return pack_bits(X @ params.W >= 0.0)
+    return pack_bits(params._matrix(X) @ params.W >= 0.0)
 
 
 def stochastic_neuron(p: float, xi: float) -> int:
@@ -171,48 +188,50 @@ def encode_sample(params: ModelParams, x, xi) -> HashCode:
     return HashCode.from_bits(encode_probs(params, x) >= xi)
 
 
-def _code_bits(params: ModelParams, h: HashCode) -> np.ndarray:
-    if h.l != params.l:
-        raise InputError(f"code length {h.l} != model code length {params.l}")
-    return h.to_bits()
-
-
 def decode(params: ModelParams, h: HashCode) -> np.ndarray:
     """Decoder mean: sum of codebook columns selected (or signed) by the code."""
-    bits = _code_bits(params, h)
-    return params.U @ bits_to_values(bits, params.code_domain)
+    return params.decode_batch(params._bits(h))
+
+
+def loss_terms(params: ModelParams, rsq, bits, P, log_p):
+    """Description-length terms of (..., l) float codes b, given rsq = ||x - U h||^2:
+
+      ||x - U h||^2 / (2 rho^2)                  reconstruction
+      (d/2) log(2 pi rho^2)                      normaliser, a scalar
+      - beta.b + sum_k softplus(beta_k)          prior
+      sum_k [b_k log p_k + (1-b_k) log(1-p_k)]   posterior log q(h|x), log_p = log(P)
+
+    Their sum is the loss -log p(x,h) + log q(h|x). The plus-minus domain
+    keeps b = (1+h)/2 in the prior and posterior exponents.
+    """
+    rho2 = np.exp(2.0 * params.log_rho)
+    recon = rsq / (2.0 * rho2)
+    norm = 0.5 * params.d * np.log(2.0 * np.pi * rho2)
+    prior = -(bits @ params.beta) + softplus(params.beta).sum()
+    # a blend rather than a select, since a select on a random mask is branch-bound
+    posterior = (bits * log_p + (1.0 - bits) * np.log(1.0 - P)).sum(axis=-1)
+    return recon, norm, prior, posterior
 
 
 def loss_bits(params: ModelParams, bits, x) -> np.ndarray:
-    """Per-sample description-length loss for one x and a (..., l) array of codes.
+    """Per-sample description-length loss for one x and a (..., l) array of codes."""
+    return sum(_code_terms(params, x, bits))
 
-    -log p(x,h) + log q(h|x), expanded as
-      ||x - U h||^2 / (2 rho^2) + (d/2) log(2 pi rho^2)     reconstruction
-      - beta.b + sum_k softplus(beta_k)                      prior
-      + sum_k [b_k log p_k + (1-b_k) log(1-p_k)]             posterior
-    where b is the 0/1 bit vector (the plus-minus domain keeps b = (1+h)/2
-    in the prior/posterior exponents) and only the reconstruction term sees
-    the mapped code values.
-    """
-    x = _check_point(params, x)
+
+def _code_terms(params: ModelParams, x, bits):
+    """loss_terms of a (..., l) array of codes for one x."""
+    x = params._point(x)
     bits = np.asarray(bits)
     if bits.shape[-1] != params.l:
         raise InputError(f"codes must have {params.l} bits")
-    b = bits.astype(np.float64)
-    values = bits_to_values(bits, params.code_domain)
-    rho2 = np.exp(2.0 * params.log_rho)
-    resid = x - values @ params.U.T
-    recon = (resid * resid).sum(axis=-1) / (2.0 * rho2)
-    recon = recon + 0.5 * params.d * np.log(2.0 * np.pi * rho2)
-    prior = -(b @ params.beta) + softplus(params.beta).sum()
+    resid = x - params.decode_batch(bits)
     p = encode_probs(params, x)
-    posterior = b @ np.log(p) + (1.0 - b) @ np.log(1.0 - p)
-    return recon + prior + posterior
+    return loss_terms(params, (resid * resid).sum(axis=-1), bits.astype(np.float64), p, np.log(p))
 
 
 def loss(params: ModelParams, h: HashCode, x) -> float:
     """Description-length loss of one (code, input) pair."""
-    return float(loss_bits(params, _code_bits(params, h), x))
+    return float(loss_bits(params, params._bits(h), x))
 
 
 def enumerate_codes(l: int) -> np.ndarray:
@@ -225,9 +244,7 @@ def enumerate_codes(l: int) -> np.ndarray:
 
 def code_log_q(params: ModelParams, x, bits) -> np.ndarray:
     """log q(h|x) for a (..., l) array of codes."""
-    p = encode_probs(params, x)
-    b = np.asarray(bits).astype(np.float64)
-    return b @ np.log(p) + (1.0 - b) @ np.log(1.0 - p)
+    return _code_terms(params, x, bits)[3]
 
 
 def exact_objective(params: ModelParams, x) -> float:
@@ -236,16 +253,14 @@ def exact_objective(params: ModelParams, x) -> float:
     Feasible only for l <= ENUM_MAX_BITS; this is the oracle every gradient
     estimator is checked against.
     """
-    bits = enumerate_codes(params.l)
-    q = np.exp(code_log_q(params, x, bits))
-    return float(q @ loss_bits(params, bits, x))
+    terms = _code_terms(params, x, enumerate_codes(params.l))
+    return float(np.exp(terms[3]) @ sum(terms))
 
 
 def log_marginal(params: ModelParams, x) -> float:
     """Exact -free-energy lower bound target: log p(x) by code enumeration."""
-    bits = enumerate_codes(params.l)
-    log_q = code_log_q(params, x, bits)
+    terms = _code_terms(params, x, enumerate_codes(params.l))
     # log p(x,h) = log q - loss, so log p(x) = logsumexp over codes
-    log_joint = log_q - loss_bits(params, bits, x)
+    log_joint = terms[3] - sum(terms)
     m = log_joint.max()
     return float(m + np.log(np.exp(log_joint - m).sum()))

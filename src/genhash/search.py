@@ -1,18 +1,19 @@
 """Linear-scan retrieval over bit-packed codes, plus exact ground-truth scans.
 
 Hamming distances are popcounts of XORed 64-bit words. All rankings break
-ties by ascending id so results are deterministic. Hamming top-n finds the
-cut distance (the n-th smallest) with an O(N) partition, keeps every code
-closer than the cut plus the lowest ids at the cut, and sorts only those n
-candidates. Indexes are immutable after construction and queries are pure,
-so batch queries may run in parallel over the query axis.
+ties by ascending id so results are deterministic. Every top-n goes through
+_select_nearest: it finds the cut score (the n-th smallest) with an O(N)
+partition, keeps every position below the cut plus the lowest ones at the
+cut, and sorts only those n candidates. The float scans reject non-finite
+queries in _finite. Indexes are immutable after construction and queries
+are pure, so batch queries may run in parallel over the query axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PLUS_MINUS, HashCode, check_padding, n_words, unpack_bits
+from .codes import HashCode, bits_to_values, check_padding, n_words, unpack_bits
 from .errors import InputError
 from .model import ModelParams
 
@@ -79,7 +80,7 @@ def _check_n(n: int):
 
 
 def _select_nearest(dist: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the n smallest distances, ascending, ties by position.
+    """Positions of the n smallest scores, ascending, ties by position.
 
     Every position closer than the cut (the n-th smallest distance) is
     kept; the lowest positions at the cut fill the remaining slots. Only
@@ -88,15 +89,12 @@ def _select_nearest(dist: np.ndarray, n: int) -> np.ndarray:
     n = min(n, len(dist))
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if n < len(dist):
-        cut = np.partition(dist, n - 1)[n - 1]
-        part = np.flatnonzero(dist <= cut)
-        if len(part) > n:
-            near = dist[part]
-            below = part[near < cut]
-            part = np.concatenate([below, part[near == cut][: n - len(below)]])
-    else:
-        part = np.arange(len(dist))
+    cut = np.partition(dist, n - 1)[n - 1]
+    part = np.flatnonzero(dist <= cut)
+    if len(part) > n:
+        near = dist[part]
+        below = part[near < cut]
+        part = np.concatenate([below, part[near == cut][: n - len(below)]])
     return part[np.argsort(dist[part], kind="stable")]
 
 
@@ -135,42 +133,32 @@ def knn_exact_l2_batch(dataset, queries, k: int) -> np.ndarray:
     knn_exact_l2 call on that query.
     """
     _check_n(k)
-    rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
+    rows = np.asarray(dataset, dtype=np.float64)
+    queries = _finite(np.asarray(queries, dtype=np.float64))
     if rows.ndim != 2 or queries.ndim != 2 or queries.shape[1] != rows.shape[1]:
         raise InputError("query dimension does not match dataset")
     norms = (rows * rows).sum(axis=1)
     out = np.empty((len(queries), min(k, len(rows))), dtype=np.int64)
     for row, query in zip(out, queries):
-        row[:] = _select_smallest_float(norms - 2.0 * (rows @ query), k)
+        row[:] = _select_nearest(norms - 2.0 * (rows @ query), k)
     return out
 
 
 def knn_exact_ip(dataset, query, k: int) -> np.ndarray:
     """Brute-force inner-product top-k, descending score, ties by id."""
     _check_n(k)
-    rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
+    rows = np.asarray(dataset, dtype=np.float64)
+    query = _finite(np.asarray(query, dtype=np.float64))
     if rows.ndim != 2 or query.shape != (rows.shape[1],):
         raise InputError("query dimension does not match dataset")
-    return _select_smallest_float(-(rows @ query), k)
+    return _select_nearest(-(rows @ query), k)
 
 
-def _select_smallest_float(scores: np.ndarray, k: int) -> np.ndarray:
-    k = min(k, len(scores))
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if k < len(scores):
-        part = np.argpartition(scores, k - 1)[:k]
-        # a stable sort on (score, position) keeps equal scores in id order,
-        # but the partition boundary may have split a tie group arbitrarily;
-        # widen to include every score tied with the current worst
-        worst = scores[part].max()
-        part = np.flatnonzero(scores <= worst)
-    else:
-        part = np.arange(len(scores))
-    order = np.argsort(scores[part], kind="stable")
-    return part[order][:k]
+def _finite(queries: np.ndarray) -> np.ndarray:
+    """The query check shared by the float scans: NaN or inf has no rank."""
+    if not np.isfinite(queries).all():
+        raise InputError("queries must be finite")
+    return queries
 
 
 def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int) -> np.ndarray:
@@ -183,13 +171,6 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
     _check_n(n)
     if params.l != index.l:
         raise InputError(f"model code length {params.l} != index length {index.l}")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (params.d,):
-        raise InputError(f"query has shape {query.shape}, expected ({params.d},)")
-    s = params.U.T @ query
-    bits = unpack_bits(index.codes, index.l).astype(np.float64)
-    if params.code_domain == PLUS_MINUS:
-        scores = (2.0 * bits - 1.0) @ s
-    else:
-        scores = bits @ s
-    return index.external_ids(_select_smallest_float(-scores, n))
+    s = params.U.T @ _finite(params._point(query))
+    values = bits_to_values(unpack_bits(index.codes, index.l), params.code_domain)
+    return index.external_ids(_select_nearest(-(values @ s), n))

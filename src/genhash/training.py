@@ -22,8 +22,8 @@ gradients over rows (x, p, b) with weights w. It has three callers:
 
 The kernel also returns two per-row terms it needs anyway: log(P), from which
 it forms the logit, and the squared residual norms ||x - U h||^2, from which
-it forms dlog_rho. The training step reuses them for the posterior and the
-reconstruction terms of its sampled loss rather than computing them again.
+it forms dlog_rho. The training step hands them to model.loss_terms for the
+posterior and reconstruction terms of its sampled loss.
 """
 
 import time
@@ -40,8 +40,8 @@ from .model import (
     encode_probs,
     enumerate_codes,
     exact_objective,
+    loss_terms,
     sigmoid,
-    softplus,
 )
 
 ESTIMATOR_UNBIASED = "unbiased"
@@ -176,7 +176,7 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     log_p = np.log(P)
     logit = log_p - np.log1p(-P)
     values = bits_to_values(bits, params.code_domain)
-    R = X - values @ params.U.T
+    R = X - params.decode_batch(bits)
 
     dU = -(R.T @ (values * weights[:, None])) / (total * rho2)
     dbeta = sigmoid(params.beta) - (weights @ bits) / total
@@ -209,10 +209,8 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
 def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIASED,
                   include_direct=False) -> GradientSet:
     P = encode_probs(params, x)[None, :]
-    if h.l != params.l:
-        raise InputError(f"code length {h.l} != model code length {params.l}")
     X = np.asarray(x, dtype=np.float64)[None, :]
-    bits = h.to_bits().astype(np.float64)[None, :]
+    bits = params._bits(h).astype(np.float64)[None, :]
     return _grad_kernel(params, X, P, bits, np.ones(1), estimator, include_direct)[0]
 
 
@@ -306,7 +304,6 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
     policy, so IEEE special values flow through without warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rho2 = np.exp(2.0 * params.log_rho)
         Z = X @ params.W
         P = clamp_probs(sigmoid(Z))
         bits = (P >= xi).astype(np.float64)
@@ -314,19 +311,12 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
             params, X, P, bits, np.ones(len(X)), estimator, include_direct
         )
 
-        # mean sampled loss of the batch; the posterior term blends rather
-        # than selects, since a select on a random mask is branch-bound
-        sp = softplus(params.beta)
-        mean_loss = float(
-            (rsq / (2.0 * rho2)).mean()
-            + 0.5 * params.d * np.log(2.0 * np.pi * rho2)
-            + (-(bits @ params.beta) + sp.sum()).mean()
-            + (bits * log_p + (1.0 - bits) * np.log(1.0 - P)).sum(axis=1).mean()
-        )
+        # mean sampled loss of the batch
+        recon, norm, prior, posterior = loss_terms(params, rsq, bits, P, log_p)
+        mean_loss = float(recon.mean() + norm + prior.mean() + posterior.mean())
 
         # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits
-        map_values = bits_to_values(Z >= 0.0, params.code_domain)
-        map_resid = X - map_values @ params.U.T
+        map_resid = X - params.decode_batch(Z >= 0.0)
         map_err = float((map_resid * map_resid).sum(axis=1).mean())
     return grads, mean_loss, map_err
 
@@ -398,7 +388,7 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
     and applies the optimizer at the decayed stepsize. A non-finite
     objective aborts with a reference to the last window-boundary snapshot.
     """
-    rows = np.asarray(getattr(dataset, "rows", dataset), dtype=np.float64)
+    rows = np.asarray(dataset, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise InputError("dataset must be a non-empty (N, d) matrix")
     n = rows.shape[0]

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from genhash.baselines import (
+    ItqModel,
     PcaModel,
     itq_encode,
     itq_encode_batch,
     itq_fit,
+    itq_project,
     itq_reconstruct,
     pca_fit,
     pca_reconstruct,
 )
+from genhash.codes import HashCode
 from genhash.errors import InputError
 
 
@@ -221,6 +224,67 @@ def test_itq_reconstruct_round_trip_scale(rng):
     signs = 2.0 * h.to_bits() - 1.0
     manual = model.mean + model.W_pca @ (model.R @ (model.scale * signs))
     assert np.allclose(recon, manual)
+
+
+# The per-sample functions as they were before they wrapped the batch code,
+# kept verbatim as the reference.
+
+
+def _reference_itq_project(model: ItqModel, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.mean.shape[0],):
+        raise InputError(f"data point has shape {x.shape}, expected {model.mean.shape}")
+    return (x - model.mean) @ model.W_pca @ model.R
+
+
+def _reference_itq_encode(model: ItqModel, x) -> HashCode:
+    return HashCode.from_bits(_reference_itq_project(model, x) >= 0.0)
+
+
+def _reference_itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:
+    if h.l != model.l:
+        raise InputError(f"code length {h.l} != model bits {model.l}")
+    signs = 2.0 * h.to_bits() - 1.0
+    return model.mean + model.W_pca @ (model.R @ (model.scale * signs))
+
+
+def _reference_pca_reconstruct(model: PcaModel, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.mean.shape[0],):
+        raise InputError(f"data point has shape {x.shape}, expected {model.mean.shape}")
+    c = x - model.mean
+    return model.mean + model.W_pca @ (model.W_pca.T @ c)
+
+
+def test_per_sample_functions_match_reference(rng):
+    # projection and sign code are the same expressions: bitwise. The
+    # reconstructions associate the products differently (row vector times
+    # transposed matrices instead of matrix times column vector), so they
+    # are held to 1e-13 of the output scale; this BLAS gave equal bits.
+    for _ in range(100):
+        d = int(rng.integers(2, 20))
+        l = int(rng.integers(1, d + 1))
+        X = rng.normal(size=(60, d)) * rng.random(d) * 3.0
+        model = itq_fit(X, l, iterations=5, rotation_seed=int(rng.integers(2)) or None)
+        pca = PcaModel(model.mean, model.W_pca)
+        x = rng.normal(size=d) * 3.0
+        assert np.array_equal(itq_project(model, x), _reference_itq_project(model, x))
+        h = itq_encode(model, x)
+        assert h == _reference_itq_encode(model, x)
+        for got, ref in (
+            (itq_reconstruct(model, h), _reference_itq_reconstruct(model, h)),
+            (pca_reconstruct(pca, x), _reference_pca_reconstruct(pca, x)),
+        ):
+            assert got.shape == ref.shape == (d,)
+            assert np.all(np.abs(got - ref) <= 1e-13 * (np.abs(ref).max() + 1.0))
+    for bad in (np.zeros(d + 1), np.zeros((1, d))):
+        for call in (itq_project, itq_encode):
+            with pytest.raises(InputError):
+                call(model, bad)
+        with pytest.raises(InputError):
+            pca_reconstruct(pca, bad)
+    with pytest.raises(InputError):
+        itq_reconstruct(model, HashCode.from_bits(np.ones(l + 1, dtype=bool)))
 
 
 def test_itq_requires_l_at_most_d(rng):

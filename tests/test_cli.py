@@ -290,3 +290,24 @@ def test_eval_zero_bit_code_file_exits_3(tmp_path):
     data_io.write_ivecs(truth, np.zeros((3, 1), dtype=np.int32))
     assert run("eval", "--codes", codes, "--query-codes", codes, "--truth", truth,
                "--k", "1", "--out", tmp_path / "r.csv") == 3
+
+
+@pytest.mark.parametrize("metric", ["l2", "ip"])
+def test_groundtruth_query_width_mismatch_exits_2(tmp_path, metric):
+    out = tmp_path / "t.ivecs"
+    assert run("groundtruth", "--data", "n=50,d=8,clusters=3,spread=1.0", "--format", "synth",
+               "--queries", "n=5,d=9,clusters=2,spread=1.0", "--queries-format", "synth",
+               "--metric", metric, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_train_domain_flag_sets_code_domain(tmp_path):
+    ckpt = tmp_path / "pm.ckpt"
+    assert run("train", "--data", "n=300,d=8,clusters=3,spread=1.0", "--format", "synth",
+               "--bits", "4", "--steps", "2", "--batch", "50", "--domain", "plus-minus",
+               "--out", ckpt) == 0
+    assert data_io.load_checkpoint(ckpt)[0].code_domain == "plus-minus"
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", "n=300,d=8", "--format", "synth", "--bits", "4", "--steps", "2",
+            "--domain", "pm", "--out", ckpt)
+    assert exc.value.code == 2

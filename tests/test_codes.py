@@ -66,3 +66,49 @@ def test_values_mapping():
 def test_from_bits_requires_vector():
     with pytest.raises(InputError):
         HashCode.from_bits(np.zeros((2, 3)))
+
+
+# pack_bits / unpack_bits as they were before the byte-view rewrite, kept
+# verbatim as the reference.
+
+
+def _reference_pack_bits(bits) -> np.ndarray:
+    bits = np.asarray(bits)
+    l = bits.shape[-1]
+    nw = n_words(l)
+    padded = np.zeros(bits.shape[:-1] + (nw * 8 * 8,), dtype=np.uint8)
+    padded[..., :l] = bits != 0
+    as_bytes = np.packbits(padded, axis=-1, bitorder="little")
+    as_bytes = as_bytes.reshape(as_bytes.shape[:-1] + (nw, 8)).astype(np.uint64)
+    shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
+    return (as_bytes << shifts).sum(axis=-1, dtype=np.uint64)
+
+
+def _reference_unpack_bits(words, l: int) -> np.ndarray:
+    words = np.asarray(words, dtype=np.uint64)
+    shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
+    as_bytes = ((words[..., None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
+    flat = as_bytes.reshape(as_bytes.shape[:-2] + (8 * words.shape[-1],))
+    bits = np.unpackbits(flat, axis=-1, bitorder="little")
+    return bits[..., :l].astype(bool)
+
+
+@pytest.mark.parametrize("l", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("lead", [(0,), (), (9,), (3, 4)])
+def test_pack_unpack_bitwise_equal_reference(l, lead):
+    rng = np.random.default_rng(l)
+    bits = rng.random(lead + (l,)) < 0.5
+    packed = pack_bits(bits)
+    assert packed.dtype == np.uint64
+    assert np.array_equal(packed, _reference_pack_bits(bits))
+    # 0/1 integers and non-bool nonzero values pack like booleans
+    assert np.array_equal(pack_bits(bits * np.int8(3)), packed)
+    assert np.array_equal(unpack_bits(packed, l), _reference_unpack_bits(packed, l))
+    # random words, including set padding bits, and non-contiguous views
+    words = rng.integers(0, 2**63, size=lead + (2 * n_words(l),), dtype=np.uint64) << 1
+    words |= rng.integers(0, 2, size=words.shape, dtype=np.uint64)
+    for view in (words[..., ::2], words[..., 1::2], np.asfortranarray(words)[..., : n_words(l)]):
+        assert np.array_equal(unpack_bits(view, l), _reference_unpack_bits(view, l))
+    # words given as signed integers convert the same way
+    signed = words[..., : n_words(l)].view(np.int64)
+    assert np.array_equal(unpack_bits(signed, l), _reference_unpack_bits(signed, l))

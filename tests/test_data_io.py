@@ -212,6 +212,25 @@ def test_dataset_centering():
     assert np.allclose(centered.rows + centered.mean, ds.rows)
 
 
+def test_dataset_converts_to_its_rows():
+    ds = synth_mixture(40, 3, 2, 1.0, 4)
+    assert np.asarray(ds) is ds.rows
+    assert np.asarray(ds, dtype=np.float64) is ds.rows
+    assert np.array_equal(np.asarray(ds, dtype=np.float32), ds.rows.astype(np.float32))
+    copied = np.array(ds)
+    assert copied is not ds.rows and np.array_equal(copied, ds.rows)
+    # functions taking a matrix take the Dataset and give the same result
+    from genhash.evaluation import mean_recon_error
+    from genhash.search import knn_exact_ip, knn_exact_l2_batch
+
+    expected = knn_exact_l2_batch(ds.rows, ds.rows[:3], 5)
+    assert np.array_equal(knn_exact_l2_batch(ds, ds.rows[:3], 5), expected)
+    assert np.array_equal(knn_exact_ip(ds, ds.rows[0], 5), knn_exact_ip(ds.rows, ds.rows[0], 5))
+    model = itq_fit(ds, 2, iterations=3)
+    assert np.array_equal(model.R, itq_fit(ds.rows, 2, iterations=3).R)
+    assert mean_recon_error(model, ds) == mean_recon_error(model, ds.rows)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

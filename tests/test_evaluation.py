@@ -74,6 +74,38 @@ def test_recall_smaller_k_not_worse_on_nested_truth(rng):
 # ---------------------------------------------------------------------------
 
 
+def test_recall_counts_distinct_ids():
+    # a repeated retrieved id, or a repeated truth id, is one neighbour
+    assert recall_k_at_n([5, 5], [7], 1, 2) == 0.0
+    assert recall_k_at_n([7, 7], [7, 8], 2, 2) == 0.5
+    assert recall_k_at_n([3], [3, 3], 2, 1) == 0.5
+    assert recall_k_at_n([3, 3, 4], [3, 4, 5], 3, 3) == pytest.approx(2 / 3)
+    # N beyond the list length reads the whole list; N = 0 retrieves nothing
+    assert recall_k_at_n([2, 1], [1, 2, 9], 3, 50) == pytest.approx(2 / 3)
+    assert recall_k_at_n([2, 1], [1, 2], 2, 0) == 0.0
+    assert recall_k_at_n([], [1], 1, 3) == 0.0
+
+
+def _set_recall(retrieved, truth, k, n):
+    """RecallK@N read off its definition with Python sets."""
+    return len(set(list(retrieved)[:n]) & set(list(truth)[:k])) / k
+
+
+def test_recall_matches_set_definition_with_duplicates(rng):
+    for _ in range(200):
+        retrieved = rng.integers(0, 15, size=rng.integers(0, 25))
+        truth = rng.integers(0, 15, size=12)
+        k = int(rng.integers(1, 13))
+        for n in (0, 1, 3, 10, 24, 40):
+            assert recall_k_at_n(retrieved, truth, k, n) == _set_recall(retrieved, truth, k, n)
+    searcher = lambda q, n: np.array([4, 4, 1, 9, 1, 2, 3])[:n]
+    truth = [[1, 4, 4, 5], [9, 8, 7, 6]]
+    report = recall_curve([0, 1], searcher, truth, k=4, n_grid=(1, 2, 3, 5, 7, 30))
+    assert report.n_grid == (1, 2, 3, 5, 7)
+    for row, t in zip(report.per_query, truth):
+        assert list(row) == [_set_recall(searcher(0, 7), t, 4, n) for n in report.n_grid]
+
+
 def _toy_search_setup(rng, n=200, l=16):
     bits = rng.random((n, l)) < 0.5
     index = BinaryIndex(pack_bits(bits), l)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode
+from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode, bits_to_values
 from genhash.errors import CapabilityError, InputError
 from genhash.model import (
     ModelParams,
@@ -20,6 +20,7 @@ from genhash.model import (
     log_marginal,
     loss,
     loss_bits,
+    softplus,
     stochastic_neuron,
 )
 
@@ -235,6 +236,50 @@ def test_loss_invariant_under_joint_permutation(rng):
         loss(params, HashCode.from_bits(bits), x)
         - loss(permuted, HashCode.from_bits(bits[perm]), x)
     ) < 1e-12
+
+
+# loss_bits and code_log_q as they were before both summed model.loss_terms,
+# kept verbatim as the reference (the input check inlined).
+
+
+def _reference_loss_bits(params: ModelParams, bits, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    bits = np.asarray(bits)
+    b = bits.astype(np.float64)
+    values = bits_to_values(bits, params.code_domain)
+    rho2 = np.exp(2.0 * params.log_rho)
+    resid = x - values @ params.U.T
+    recon = (resid * resid).sum(axis=-1) / (2.0 * rho2)
+    recon = recon + 0.5 * params.d * np.log(2.0 * np.pi * rho2)
+    prior = -(b @ params.beta) + softplus(params.beta).sum()
+    p = encode_probs(params, x)
+    posterior = b @ np.log(p) + (1.0 - b) @ np.log(1.0 - p)
+    return recon + prior + posterior
+
+
+def _reference_code_log_q(params: ModelParams, x, bits) -> np.ndarray:
+    p = encode_probs(params, x)
+    b = np.asarray(bits).astype(np.float64)
+    return b @ np.log(p) + (1.0 - b) @ np.log(1.0 - p)
+
+
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_loss_bits_and_log_q_match_reference(domain, rng):
+    # the posterior now blends per bit and sums, where the reference took two
+    # dot products, so the two may differ in the last bits only
+    for case in range(100):
+        d, l = rng.integers(1, 12), rng.integers(1, 9)
+        params = random_params(rng, d, l, domain, scale=rng.choice([0.1, 1.0, 4.0]))
+        x = rng.normal(size=d) * 3.0
+        bits = enumerate_codes(l) if case % 2 else rng.random((5, 3, l)) < 0.5
+        got, ref = loss_bits(params, bits, x), _reference_loss_bits(params, bits, x)
+        log_q, ref_q = code_log_q(params, x, bits), _reference_code_log_q(params, x, bits)
+        assert got.shape == ref.shape == log_q.shape == ref_q.shape == bits.shape[:-1]
+        bound = 1e-13 * (np.abs(ref) + np.abs(ref_q) + np.abs(params.beta).sum() + 1.0)
+        assert np.all(np.abs(got - ref) <= bound)
+        assert np.all(np.abs(log_q - ref_q) <= bound)
+        one = bits.reshape(-1, l)[0]
+        assert loss(params, HashCode.from_bits(one), x) == float(loss_bits(params, one, x))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from genhash.search import (
     knn_hamming,
     knn_hamming_batch,
 )
+from genhash.search import _select_nearest
 
 from conftest import random_params
 
@@ -289,6 +290,60 @@ def test_knn_exact_ip(rng):
     oracle = sorted(range(30), key=lambda i: (-scores[i], i))[:6]
     assert list(knn_exact_ip(X, q, 6)) == oracle
     assert len(knn_exact_ip(X, q, 0)) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_rejected(bad, rng):
+    X = rng.normal(size=(12, 4))
+    query = X[3].copy()
+    query[2] = bad
+    params = random_params(rng, 4, 8)
+    index, _ = _random_index(rng, 12, 8)
+    calls = [
+        lambda: knn_exact_l2(X, query, 5),
+        lambda: knn_exact_l2_batch(X, np.stack([X[0], query]), 5),
+        lambda: knn_exact_ip(X, query, 5),
+        lambda: asymmetric_ip_search(index, params, query, 5),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="finite"):
+            call()
+
+
+def _select_smallest_float(scores: np.ndarray, k: int) -> np.ndarray:
+    """The float top-k that _select_nearest replaced, kept verbatim as the reference."""
+    k = min(k, len(scores))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if k < len(scores):
+        part = np.argpartition(scores, k - 1)[:k]
+        # a stable sort on (score, position) keeps equal scores in id order,
+        # but the partition boundary may have split a tie group arbitrarily;
+        # widen to include every score tied with the current worst
+        worst = scores[part].max()
+        part = np.flatnonzero(scores <= worst)
+    else:
+        part = np.arange(len(scores))
+    order = np.argsort(scores[part], kind="stable")
+    return part[order][:k]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "dyadic", "duplicated", "signed-zero"])
+def test_select_nearest_matches_float_reference(kind, rng):
+    for N in (0, 1, 7, 50, 300):
+        if kind == "gaussian":
+            scores = rng.normal(size=N)
+        elif kind == "dyadic":
+            scores = rng.integers(-3, 4, size=N) / 4.0
+        elif kind == "duplicated":
+            scores = np.repeat(rng.normal(size=N // 4 + 1), 4)[:N]
+        else:
+            scores = rng.choice([-0.0, 0.0, -1.5, 2.0], size=N)
+        ties = int((scores == np.sort(scores)[N // 2]).sum()) if N else 0
+        for n in {0, 1, N // 2 + 1, N // 2 + ties, 10, 100, N, N + 5}:
+            got = _select_nearest(scores, n)
+            assert np.array_equal(got, _select_smallest_float(scores, n)), (N, n)
+            assert got.dtype == np.int64
 
 
 def test_knn_exact_dimension_check(rng):
