@@ -28,8 +28,8 @@ EXIT_INPUT = 2
 EXIT_FORMAT = 3
 EXIT_TRAINING = 4
 
-def _parse_synth_spec(spec: str, default_seed: int):
-    """Parse "n=2000,d=16,clusters=10,spread=1.0[,seed=S]" for --format synth."""
+def _synth(spec: str, default_seed: int) -> data_io.Dataset:
+    """The --format synth data of a spec "n=2000,d=16,clusters=10,spread=1.0[,seed=S]"."""
     fields = {"n": 2000, "d": 16, "clusters": 10, "spread": 1.0, "seed": None}
     if spec:
         for part in spec.split(","):
@@ -46,20 +46,22 @@ def _parse_synth_spec(spec: str, default_seed: int):
     if fields["seed"] is None:
         # derive a child stream so synth data and training draws stay independent
         fields["seed"] = int(np.random.SeedSequence(default_seed).spawn(1)[0].generate_state(1)[0])
-    return fields
+    return data_io.synth_mixture(
+        fields["n"], fields["d"], fields["clusters"], fields["spread"], fields["seed"]
+    )
+
+
+# --format value -> reader(path, seed); each looks its data_io function up when called
+_READERS = {
+    "fvecs": lambda path, seed: data_io.read_fvecs(path),
+    "bvecs": lambda path, seed: data_io.read_bvecs(path),
+    "idx": lambda path, seed: data_io.read_mnist_idx(path),
+    "synth": _synth,
+}
 
 
 def _load_data(path: str, fmt: str, seed: int) -> data_io.Dataset:
-    if fmt == "fvecs":
-        return data_io.read_fvecs(path)
-    if fmt == "bvecs":
-        return data_io.read_bvecs(path)
-    if fmt == "idx":
-        return data_io.read_mnist_idx(path)
-    if fmt == "synth":
-        f = _parse_synth_spec(path, seed)
-        return data_io.synth_mixture(f["n"], f["d"], f["clusters"], f["spread"], f["seed"])
-    raise InputError(f"unknown data format {fmt!r}")
+    return _READERS[fmt](path, seed)
 
 
 def _load_model_and_rows(ckpt: str, path: str, fmt: str, seed: int, expect_kind=None):
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a hashing model")
     p.add_argument("--data", required=True, help="input path (or synth spec for --format synth)")
-    p.add_argument("--format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch", type=int, default=500)
@@ -239,16 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="MAP-encode a dataset with a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--out", required=True, help="packed-code output path")
     _add_common(p)
     p.set_defaults(run=cmd_encode)
 
     p = sub.add_parser("groundtruth", help="exact nearest-neighbor lists")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--queries", required=True)
-    p.add_argument("--queries-format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--queries-format", required=True, choices=_READERS)
     p.add_argument("--metric", choices=["l2", "ip"], default="l2")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True, help="ivecs output path")
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-codes", default=None, help="packed query codes (hamming mode)")
     p.add_argument("--ckpt", default=None, help="model checkpoint (asym mode)")
     p.add_argument("--queries", default=None, help="raw query vectors (asym mode)")
-    p.add_argument("--queries-format", default="fvecs", choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--queries-format", default="fvecs", choices=_READERS)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", default="genhash", help="method label for the CSV")
     p.add_argument("--out", required=True, help="recall CSV output path")
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="render originals/reconstructions/templates as PGM")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--shape", required=True, help="image shape, e.g. 28x28")
     p.add_argument("--count", type=int, default=8, help="number of sample columns")
     p.add_argument("--out", required=True, help="PGM output path")
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="fit an ITQ or PCA baseline")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", required=True, choices=["fvecs", "bvecs", "idx", "synth"])
+    p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--method", choices=["itq", "pca"], default="itq")
     p.add_argument("--iterations", type=int, default=50)

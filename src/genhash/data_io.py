@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import ItqModel, PcaModel
-from .codes import CODE_DOMAINS, n_words
+from .codes import CODE_DOMAINS, check_padding, n_words
 from .errors import FormatError, InputError
 from .model import ModelParams
 
@@ -318,6 +318,7 @@ def write_packed_codes(path, codes: np.ndarray, l: int):
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     if codes.ndim != 2 or codes.shape[1] != n_words(l):
         raise InputError(f"codes must be (N, {n_words(l)}) for {l} bits")
+    check_padding(codes, l)
     with open(path, "wb") as f:
         f.write(CODES_MAGIC)
         f.write(struct.pack("<QI", codes.shape[0], l))
@@ -340,4 +341,8 @@ def read_packed_codes(path):
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     words = np.frombuffer(raw, dtype="<u8", offset=head).reshape(count, n_words(l))
+    try:
+        check_padding(words, l)
+    except InputError as err:
+        raise FormatError(f"{path}: {err}") from None
     return words.astype(np.uint64), l

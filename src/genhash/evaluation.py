@@ -61,9 +61,9 @@ class EvalReport:
 def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=None) -> EvalReport:
     """Mean RecallK@N over queries for each N in the grid.
 
-    searcher(query, n) must return ranked ids of length min(n, index size);
-    grid entries beyond the index size are dropped. truth_lists holds one
-    ranked ground-truth id list (length >= k) per query.
+    searcher(query, n) must return ranked ids of length min(n, index size),
+    the same for every query; grid entries beyond it are dropped.
+    truth_lists holds one ranked ground-truth id list (length >= k) per query.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -81,7 +81,10 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
     rows = []
     for q, truth in zip(queries, truth_lists):
         ranked = np.asarray(searcher(q, max_n))
-        grid = tuple(n for n in grid if n <= len(ranked)) or (len(ranked),)
+        if rows and len(ranked) != size:
+            raise InputError(f"searcher gave {len(ranked)} ids for one query, {size} for another")
+        size = len(ranked)
+        grid = tuple(n for n in grid if n <= size) or (size,)
         rows.append(_distinct_hits(ranked, truth, k)[list(grid)] / k)
     per_query = np.asarray(rows, dtype=np.float64)
     return EvalReport(

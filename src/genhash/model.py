@@ -16,6 +16,7 @@ loss_bits, code_log_q and the training step use.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,8 +58,11 @@ class ModelParams(Hasher):
     W, U are (d, l); column k of W is the encoder weight for bit k and
     column k of U is its codeword. beta holds the prior log-odds. rho is
     stored as log_rho so positivity needs no constraint handling.
-    code_domain is fixed at construction.
+    code_domain is fixed at construction. BLOCKS names the trained blocks,
+    in the order blocks() returns them and training updates them.
     """
+
+    BLOCKS: ClassVar[tuple] = ("W", "U", "beta", "log_rho")
 
     W: np.ndarray
     U: np.ndarray
@@ -79,12 +83,7 @@ class ModelParams(Hasher):
             raise InputError(f"beta must have length {self.W.shape[1]}")
         if self.code_domain not in CODE_DOMAINS:
             raise InputError(f"unknown code domain: {self.code_domain!r}")
-        if not (
-            np.all(np.isfinite(self.W))
-            and np.all(np.isfinite(self.U))
-            and np.all(np.isfinite(self.beta))
-            and np.isfinite(self.log_rho)
-        ):
+        if not all(np.isfinite(block).all() for block in self.blocks()):
             raise InputError("model parameters must be finite")
 
     @property
@@ -99,10 +98,12 @@ class ModelParams(Hasher):
     def rho(self) -> float:
         return float(np.exp(self.log_rho))
 
+    def blocks(self) -> list:
+        """The trained blocks W, U, beta, log_rho, in BLOCKS order."""
+        return [getattr(self, name) for name in self.BLOCKS]
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.W.copy(), self.U.copy(), self.beta.copy(), self.log_rho, self.code_domain
-        )
+        return ModelParams(*map(np.copy, self.blocks()), self.code_domain)
 
     def encode_batch(self, X) -> np.ndarray:
         """MAP codes of the (already centred) rows of X as packed words."""

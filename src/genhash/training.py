@@ -24,6 +24,9 @@ The kernel also returns two per-row terms it needs anyway: log(P), from which
 it forms the logit, and the squared residual norms ||x - U h||^2, from which
 it forms dlog_rho. The training step hands them to model.loss_terms for the
 posterior and reconstruction terms of its sampled loss.
+
+The optimizers and exact_grad_check loop over ModelParams.BLOCKS; train has
+one abort site, for a non-finite loss or gradient.
 """
 
 import time
@@ -93,13 +96,11 @@ class TrainConfig:
             raise InputError(f"optimizer must be one of {OPTIMIZERS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
+        if self.decay_horizon is not None and self.decay_horizon < 1:
+            raise InputError("decay_horizon must be >= 1")
 
     def effective_decay_horizon(self) -> int:
-        if self.decay_horizon is not None:
-            if self.decay_horizon < 1:
-                raise InputError("decay_horizon must be >= 1")
-            return self.decay_horizon
-        return max(1, round(10 * self.steps / 11))
+        return self.decay_horizon or max(1, round(10 * self.steps / 11))
 
 
 @dataclass
@@ -111,41 +112,29 @@ class GradientSet:
     dbeta: np.ndarray
     dlog_rho: float
 
+    def blocks(self) -> list:
+        """d<name> for each name of ModelParams.BLOCKS, in that order."""
+        return [getattr(self, "d" + name) for name in ModelParams.BLOCKS]
+
     def finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.dW))
-            and np.all(np.isfinite(self.dU))
-            and np.all(np.isfinite(self.dbeta))
-            and np.isfinite(self.dlog_rho)
-        )
+        return all(np.isfinite(g).all() for g in self.blocks())
 
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators (allocated but unused for plain SGD)."""
+    """Adam first and second moments, one per ModelParams block (unused by plain SGD).
 
-    m_W: np.ndarray
-    v_W: np.ndarray
-    m_U: np.ndarray
-    v_U: np.ndarray
-    m_beta: np.ndarray
-    v_beta: np.ndarray
-    m_log_rho: float
-    v_log_rho: float
+    The log_rho moments are 0-d arrays, so every moment updates in place.
+    """
+
+    m: list
+    v: list
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "OptimizerState":
-        return cls(
-            np.zeros_like(params.W),
-            np.zeros_like(params.W),
-            np.zeros_like(params.U),
-            np.zeros_like(params.U),
-            np.zeros_like(params.beta),
-            np.zeros_like(params.beta),
-            0.0,
-            0.0,
-        )
+        return cls([np.zeros_like(b) for b in params.blocks()],
+                   [np.zeros_like(b) for b in params.blocks()])
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -257,24 +246,15 @@ def adam_step(
     if not grads.finite():
         raise TrainingError("non-finite gradient in optimizer step", step=state.step)
     state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
-
-    def upd(m, v, g):
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    for name, m, v, g in zip(ModelParams.BLOCKS, state.m, state.v, grads.blocks()):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        return (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-
-    params.W -= lr_t * upd(state.m_W, state.v_W, grads.dW)
-    params.U -= lr_t * upd(state.m_U, state.v_U, grads.dU)
-    params.beta -= lr_t * upd(state.m_beta, state.v_beta, grads.dbeta)
-    g = grads.dlog_rho
-    state.m_log_rho = ADAM_BETA1 * state.m_log_rho + (1.0 - ADAM_BETA1) * g
-    state.v_log_rho = ADAM_BETA2 * state.v_log_rho + (1.0 - ADAM_BETA2) * g * g
-    params.log_rho -= lr_t * (state.m_log_rho / c1) / (np.sqrt(state.v_log_rho / c2) + ADAM_EPS)
+        step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        setattr(params, name, getattr(params, name) - lr_t * step)
     return params, state
 
 
@@ -285,10 +265,8 @@ def sgd_step(
     if not grads.finite():
         raise TrainingError("non-finite gradient in optimizer step", step=state.step)
     state.step += 1
-    params.W -= lr_t * grads.dW
-    params.U -= lr_t * grads.dU
-    params.beta -= lr_t * grads.dbeta
-    params.log_rho -= lr_t * grads.dlog_rho
+    for name, g in zip(ModelParams.BLOCKS, grads.blocks()):
+        setattr(params, name, getattr(params, name) - lr_t * g)
     return params, state
 
 
@@ -385,8 +363,8 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
 
     Each step samples a minibatch with replacement and fresh uniform draws
     per example per bit, averages the configured estimator over the batch,
-    and applies the optimizer at the decayed stepsize. A non-finite
-    objective aborts with a reference to the last window-boundary snapshot.
+    and applies the optimizer at the decayed stepsize. A non-finite loss or
+    gradient aborts with a reference to the last window-boundary snapshot.
     """
     rows = np.asarray(dataset, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -417,21 +395,16 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
         grads, mean_loss, map_err = _batch_stats(
             params, X, xi, config.estimator, config.include_direct_logq_grad
         )
-        if not np.isfinite(mean_loss):
+        if not (np.isfinite(mean_loss) and grads.finite()):
             raise TrainingError(
-                f"non-finite objective at step {step}; last good snapshot at step {last_good_step}",
+                f"non-finite objective or gradient at step {step}; "
+                f"last good snapshot at step {last_good_step}",
                 step=step,
                 last_good_step=last_good_step,
                 params=last_good,
             )
         lr_t = lr_at(config, step)
-        try:
-            params, state = step_fn(state, params, grads, lr_t)
-        except TrainingError as err:
-            err.step = step
-            err.last_good_step = last_good_step
-            err.params = last_good
-            raise
+        params, state = step_fn(state, params, grads, lr_t)
         loss_trace[step] = mean_loss
         recon_trace[step] = map_err
         lr_trace[step] = lr_t
@@ -461,21 +434,18 @@ class GradCheckReport:
     clamped_bits: np.ndarray
     fd_step: float
 
+    def _errors(self) -> tuple:
+        """The four errors, in ModelParams.BLOCKS order."""
+        return (self.max_rel_err_w, self.max_rel_err_u, self.max_rel_err_beta,
+                self.max_rel_err_log_rho)
+
     def ok(self, w_tol: float = 1e-6, decoder_tol: float = 1e-4) -> bool:
-        return (
-            self.max_rel_err_w < w_tol
-            and self.max_rel_err_u < decoder_tol
-            and self.max_rel_err_beta < decoder_tol
-            and self.max_rel_err_log_rho < decoder_tol
-        )
+        err_w, *err_decoder = self._errors()
+        return err_w < w_tol and all(err < decoder_tol for err in err_decoder)
 
     def summary(self) -> str:
-        lines = [
-            f"max rel err W        {self.max_rel_err_w:.3e}",
-            f"max rel err U        {self.max_rel_err_u:.3e}",
-            f"max rel err beta     {self.max_rel_err_beta:.3e}",
-            f"max rel err log_rho  {self.max_rel_err_log_rho:.3e}",
-        ]
+        lines = [f"max rel err {name:<9}{err:.3e}"
+                 for name, err in zip(ModelParams.BLOCKS, self._errors())]
         if self.clamped_bits.any():
             idx = np.flatnonzero(self.clamped_bits)
             lines.append(f"clamp-saturated bits excluded from W check: {list(idx)}")
@@ -486,9 +456,7 @@ def _rel_err(a, b, floor: float = 1e-3) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / denom))
+    return float(np.max(np.abs(a - b) / denom, initial=0.0))
 
 
 def _expected_grads(params: ModelParams, x) -> GradientSet:
@@ -529,41 +497,31 @@ def exact_grad_check(params: ModelParams, x, fd_step: float = 1e-5) -> GradCheck
     z = x @ params.W
     clamped = np.abs(z) >= CLAMP_LOGIT
 
-    def fd(param_array, i, j=None):
-        orig = params.log_rho if param_array is None else (
-            param_array[i] if j is None else param_array[i, j]
-        )
+    def fd(name):
+        """Central differences of the exact objective in every entry of one block."""
+        saved = getattr(params, name)
+        probe = np.array(saved, dtype=np.float64)  # a writable copy, 0-d for log_rho
+        setattr(params, name, probe)
+        grad = np.empty(probe.shape)
+        for idx in np.ndindex(probe.shape):
+            orig = probe[idx]
+            probe[idx] = orig + fd_step
+            hi = exact_objective(params, x)
+            probe[idx] = orig - fd_step
+            lo = exact_objective(params, x)
+            probe[idx] = orig
+            grad[idx] = (hi - lo) / (2.0 * fd_step)
+        setattr(params, name, saved)
+        return grad
 
-        def setval(v):
-            if param_array is None:
-                params.log_rho = v
-            elif j is None:
-                param_array[i] = v
-            else:
-                param_array[i, j] = v
-
-        setval(orig + fd_step)
-        hi = exact_objective(params, x)
-        setval(orig - fd_step)
-        lo = exact_objective(params, x)
-        setval(orig)
-        return (hi - lo) / (2.0 * fd_step)
-
-    est_w = expected_grad_w_unbiased(params, x)
-    fd_w = np.array([[fd(params.W, i, j) for j in range(params.l)] for i in range(params.d)])
+    est = _expected_grads(params, x)
+    fd_w, fd_u, fd_beta, fd_rho = map(fd, ModelParams.BLOCKS)
     free = ~clamped
-    err_w = _rel_err(est_w[:, free], fd_w[:, free])
-
-    dU, dbeta, dlog_rho = expected_grad_decoder(params, x)
-    fd_u = np.array([[fd(params.U, i, j) for j in range(params.l)] for i in range(params.d)])
-    fd_beta = np.array([fd(params.beta, i) for i in range(params.l)])
-    fd_rho = fd(None, 0)
-
     return GradCheckReport(
-        max_rel_err_w=err_w,
-        max_rel_err_u=_rel_err(dU, fd_u),
-        max_rel_err_beta=_rel_err(dbeta, fd_beta),
-        max_rel_err_log_rho=_rel_err(dlog_rho, fd_rho),
+        max_rel_err_w=_rel_err(est.dW[:, free], fd_w[:, free]),
+        max_rel_err_u=_rel_err(est.dU, fd_u),
+        max_rel_err_beta=_rel_err(est.dbeta, fd_beta),
+        max_rel_err_log_rho=_rel_err(est.dlog_rho, fd_rho),
         clamped_bits=clamped,
         fd_step=fd_step,
     )

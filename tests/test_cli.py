@@ -311,3 +311,34 @@ def test_train_domain_flag_sets_code_domain(tmp_path):
         run("train", "--data", "n=300,d=8", "--format", "synth", "--bits", "4", "--steps", "2",
             "--domain", "pm", "--out", ckpt)
     assert exc.value.code == 2
+
+
+def test_eval_code_file_with_padding_bit_exits_3(tmp_path):
+    codes = tmp_path / "pad.codes"
+    codes.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 1, 8) + struct.pack("<Q", 1 << 63))
+    truth = tmp_path / "t.ivecs"
+    data_io.write_ivecs(truth, np.zeros((1, 1), dtype=np.int32))
+    assert run("eval", "--codes", codes, "--query-codes", codes, "--truth", truth,
+               "--k", "1", "--out", tmp_path / "r.csv") == 3
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_data_formats_share_one_reader_table(monkeypatch, capsys):
+    from genhash import cli
+
+    flags = {"train": ["--format"], "encode": ["--format"], "reconstruct": ["--format"],
+             "baseline": ["--format"], "groundtruth": ["--format", "--queries-format"],
+             "eval": ["--queries-format"]}
+    for command, names in flags.items():
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        usage = capsys.readouterr().out
+        for name in names:
+            assert f"{name} {{fvecs,bvecs,idx,synth}}" in usage, (command, name)
+    # each entry looks its reader up when called, so a patched reader is seen
+    seen = []
+    monkeypatch.setattr(data_io, "read_fvecs", lambda path: seen.append(path) or "rows")
+    assert cli._load_data("x.fvecs", "fvecs", 0) == "rows" and seen == ["x.fvecs"]
+    with pytest.raises(SystemExit) as exc:
+        run("encode", "--ckpt", "m.ckpt", "--data", "x", "--format", "npy", "--out", "c")
+    assert exc.value.code == 2

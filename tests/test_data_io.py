@@ -563,3 +563,21 @@ def test_packed_codes_zero_length_rejected(tmp_path):
     path.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 3, 0))
     with pytest.raises(FormatError, match="code length"):
         read_packed_codes(path)
+
+
+@pytest.mark.parametrize("l", [1, 8, 63, 70])
+def test_packed_codes_padding_bits_fail_closed(tmp_path, l):
+    codes = np.zeros((2, -(-l // 64)), dtype=np.uint64)
+    codes[1, -1] = np.uint64(1) << np.uint64(63)  # the top bit pads every length here
+    path = tmp_path / "codes.bin"
+    with pytest.raises(InputError, match="padding"):
+        write_packed_codes(path, codes, l)
+    assert not path.exists()
+    # the same words written by hand: the reader rejects the file as malformed
+    path.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 2, l) + codes.astype("<u8").tobytes())
+    with pytest.raises(FormatError, match="padding"):
+        read_packed_codes(path)
+    codes[1, -1] = np.uint64(1) << np.uint64((l - 1) % 64)  # the last code bit is data
+    write_packed_codes(path, codes, l)
+    back, back_l = read_packed_codes(path)
+    assert back_l == l and np.array_equal(back, codes)

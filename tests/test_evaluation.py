@@ -338,3 +338,12 @@ def test_write_pgm(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n4 3\n255\n")
     assert raw[len(b"P5\n4 3\n255\n"):] == img.tobytes()
+
+
+def test_recall_curve_rejects_ranked_lists_of_different_lengths():
+    ranked = {0: [1, 2, 3, 4, 5], 1: [1, 2]}
+    with pytest.raises(InputError, match="ids"):
+        recall_curve([0, 1], lambda q, n: ranked[q][:n], [[1, 2], [1, 2]], k=2, n_grid=(1, 5))
+    # a longer list after a shorter one is refused too
+    with pytest.raises(InputError, match="ids"):
+        recall_curve([1, 0], lambda q, n: ranked[q][:n], [[1, 2], [1, 2]], k=2, n_grid=(1, 5))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from genhash.model import (
     softplus,
 )
 from genhash.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    CLAMP_LOGIT,
     ESTIMATOR_UNBIASED,
+    GradCheckReport,
     GradientSet,
     OptimizerState,
     TrainConfig,
@@ -305,7 +311,9 @@ def test_train_deterministic(rng):
     assert np.array_equal(log1.recon_error, log2.recon_error)
 
 
-@pytest.mark.parametrize("field", [{"steps": -1}, {"bits": 0}, {"lr": 0.0}, {"seed": -1}])
+@pytest.mark.parametrize(
+    "field", [{"steps": -1}, {"bits": 0}, {"lr": 0.0}, {"seed": -1}, {"decay_horizon": 0}]
+)
 def test_train_config_rejects_bad_fields(field):
     with pytest.raises(InputError):
         TrainConfig(**{"steps": 10, "bits": 4, **field})
@@ -565,3 +573,274 @@ def test_expected_decoder_grads_match_enumeration(rng):
     assert np.max(np.abs(eU - dU)) < 1e-12
     assert np.max(np.abs(ebeta - dbeta)) < 1e-12
     assert abs(erho - dlog_rho) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-block loops against the hand-written per-block code they replace
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ReferenceOptimizerState:
+    """Adam moment accumulators (allocated but unused for plain SGD)."""
+
+    m_W: np.ndarray
+    v_W: np.ndarray
+    m_U: np.ndarray
+    v_U: np.ndarray
+    m_beta: np.ndarray
+    v_beta: np.ndarray
+    m_log_rho: float
+    v_log_rho: float
+    step: int = 0
+
+    @classmethod
+    def zeros_like(cls, params: ModelParams) -> "_ReferenceOptimizerState":
+        return cls(
+            np.zeros_like(params.W),
+            np.zeros_like(params.W),
+            np.zeros_like(params.U),
+            np.zeros_like(params.U),
+            np.zeros_like(params.beta),
+            np.zeros_like(params.beta),
+            0.0,
+            0.0,
+        )
+
+
+def _reference_adam_step(state, params: ModelParams, grads: GradientSet, lr_t: float):
+    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8), in place."""
+    if not grads.finite():
+        raise TrainingError("non-finite gradient in optimizer step", step=state.step)
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+
+    def upd(m, v, g):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        return (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+    params.W -= lr_t * upd(state.m_W, state.v_W, grads.dW)
+    params.U -= lr_t * upd(state.m_U, state.v_U, grads.dU)
+    params.beta -= lr_t * upd(state.m_beta, state.v_beta, grads.dbeta)
+    g = grads.dlog_rho
+    state.m_log_rho = ADAM_BETA1 * state.m_log_rho + (1.0 - ADAM_BETA1) * g
+    state.v_log_rho = ADAM_BETA2 * state.v_log_rho + (1.0 - ADAM_BETA2) * g * g
+    params.log_rho -= lr_t * (state.m_log_rho / c1) / (np.sqrt(state.v_log_rho / c2) + ADAM_EPS)
+    return params, state
+
+
+def _reference_sgd_step(state, params: ModelParams, grads: GradientSet, lr_t: float):
+    """Plain gradient step."""
+    if not grads.finite():
+        raise TrainingError("non-finite gradient in optimizer step", step=state.step)
+    state.step += 1
+    params.W -= lr_t * grads.dW
+    params.U -= lr_t * grads.dU
+    params.beta -= lr_t * grads.dbeta
+    params.log_rho -= lr_t * grads.dlog_rho
+    return params, state
+
+
+def _reference_copy(params: ModelParams) -> ModelParams:
+    return ModelParams(
+        params.W.copy(), params.U.copy(), params.beta.copy(), params.log_rho, params.code_domain
+    )
+
+
+def _reference_rel_err(a, b, floor: float = 1e-3) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b) / denom))
+
+
+def _reference_exact_grad_check(params: ModelParams, x, fd_step: float = 1e-5) -> GradCheckReport:
+    x = np.asarray(x, dtype=np.float64)
+    z = x @ params.W
+    clamped = np.abs(z) >= CLAMP_LOGIT
+
+    def fd(param_array, i, j=None):
+        orig = params.log_rho if param_array is None else (
+            param_array[i] if j is None else param_array[i, j]
+        )
+
+        def setval(v):
+            if param_array is None:
+                params.log_rho = v
+            elif j is None:
+                param_array[i] = v
+            else:
+                param_array[i, j] = v
+
+        setval(orig + fd_step)
+        hi = exact_objective(params, x)
+        setval(orig - fd_step)
+        lo = exact_objective(params, x)
+        setval(orig)
+        return (hi - lo) / (2.0 * fd_step)
+
+    est_w = expected_grad_w_unbiased(params, x)
+    fd_w = np.array([[fd(params.W, i, j) for j in range(params.l)] for i in range(params.d)])
+    free = ~clamped
+    err_w = _reference_rel_err(est_w[:, free], fd_w[:, free])
+
+    dU, dbeta, dlog_rho = expected_grad_decoder(params, x)
+    fd_u = np.array([[fd(params.U, i, j) for j in range(params.l)] for i in range(params.d)])
+    fd_beta = np.array([fd(params.beta, i) for i in range(params.l)])
+    fd_rho = fd(None, 0)
+
+    return GradCheckReport(
+        max_rel_err_w=err_w,
+        max_rel_err_u=_reference_rel_err(dU, fd_u),
+        max_rel_err_beta=_reference_rel_err(dbeta, fd_beta),
+        max_rel_err_log_rho=_reference_rel_err(dlog_rho, fd_rho),
+        clamped_bits=clamped,
+        fd_step=fd_step,
+    )
+
+
+def _assert_params_equal(got: ModelParams, want: ModelParams):
+    for name in ("W", "U", "beta", "log_rho"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.code_domain == want.code_domain
+
+
+def _assert_scalar_log_rho(params: ModelParams):
+    assert isinstance(params.log_rho, float) and not isinstance(params.log_rho, np.ndarray)
+
+
+def test_blocks_list_every_trained_block_in_order(rng):
+    params = random_params(rng, 4, 3)
+    grads = _zero_grads(params)
+    assert ModelParams.BLOCKS == ("W", "U", "beta", "log_rho")
+    for name, block, grad in zip(ModelParams.BLOCKS, params.blocks(), grads.blocks(), strict=True):
+        assert block is getattr(params, name) and grad is getattr(grads, "d" + name)
+    assert grads.finite() is True
+    # one non-finite entry in any block is caught
+    for i in range(len(ModelParams.BLOCKS)):
+        blocks = [np.array(b, dtype=np.float64) for b in params.blocks()]
+        blocks[i].flat[0] = np.inf
+        with pytest.raises(InputError):
+            ModelParams(*blocks)
+        blocks = [np.array(g, dtype=np.float64) for g in grads.blocks()]
+        blocks[i].flat[-1] = np.nan
+        assert GradientSet(*blocks).finite() is False
+
+
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_copy_equals_reference_and_is_independent(domain, rng):
+    params = random_params(rng, 5, 4, domain)
+    got, want = params.copy(), _reference_copy(params)
+    _assert_params_equal(got, want)
+    _assert_scalar_log_rho(got)
+    got.W[0, 0] += 1.0
+    got.beta[0] += 1.0
+    assert params.W[0, 0] == want.W[0, 0] and params.beta[0] == want.beta[0]
+
+
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_sgd_trajectory_bitwise_equals_reference(domain, rng):
+    from genhash.training import _batch_stats
+
+    params = random_params(rng, 12, 9, domain)
+    ref = _reference_copy(params)
+    state, ref_state = OptimizerState.zeros_like(params), _ReferenceOptimizerState.zeros_like(ref)
+    for step in range(60):
+        X = rng.normal(size=(20, 12))
+        xi = rng.random((20, 9))
+        grads, _, _ = _batch_stats(params, X, xi, "unbiased", step % 2 == 1)
+        ref_grads, _, _ = _batch_stats(ref, X, xi, "unbiased", step % 2 == 1)
+        sgd_step(state, params, grads, 0.01 / (1 + step))
+        _reference_sgd_step(ref_state, ref, ref_grads, 0.01 / (1 + step))
+        _assert_params_equal(params, ref)
+        _assert_scalar_log_rho(params)
+        assert state.step == ref_state.step == step + 1
+
+
+def test_adam_matches_reference_over_random_gradients(rng):
+    params = random_params(rng, 6, 5)
+    ref = _reference_copy(params)
+    state, ref_state = OptimizerState.zeros_like(params), _ReferenceOptimizerState.zeros_like(ref)
+    for step in range(200):
+        scale = 10.0 ** rng.uniform(-3, 1)
+        grads = GradientSet(
+            rng.normal(size=(6, 5)) * scale,
+            rng.normal(size=(6, 5)) * scale,
+            rng.normal(size=5) * scale,
+            float(rng.normal() * scale),
+        )
+        adam_step(state, params, grads, 0.01)
+        _reference_adam_step(ref_state, ref, grads, 0.01)
+        for name in ("W", "U", "beta"):
+            assert np.array_equal(getattr(params, name), getattr(ref, name)), (step, name)
+        # the scalar update rounds (lr m) / s as lr (m / s): the last ulp may differ
+        assert abs(params.log_rho - ref.log_rho) <= 1e-12
+        _assert_scalar_log_rho(params)
+    assert np.array_equal(state.m[0], ref_state.m_W)
+    assert np.array_equal(state.v[2], ref_state.v_beta)
+
+
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_exact_grad_check_report_equals_reference(domain, rng):
+    for d, l in ((4, 3), (3, 5), (5, 1)):
+        params = random_params(rng, d, l, domain)
+        params.W[:, 0] *= 40.0  # saturates some bits, so the clamp mask is exercised
+        before = params.copy()
+        x = rng.normal(size=d)
+        got = exact_grad_check(params, x)
+        _assert_params_equal(params, before)
+        _assert_scalar_log_rho(params)
+        want = _reference_exact_grad_check(params, x)
+        for name in ("max_rel_err_w", "max_rel_err_u", "max_rel_err_beta", "max_rel_err_log_rho"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.clamped_bits, want.clamped_bits)
+        assert got.summary() == want.summary() and got.ok() == want.ok()
+
+
+def test_grad_check_summary_and_ok_by_block():
+    report = GradCheckReport(1e-7, 2e-5, 3e-5, 5e-4, np.array([False, True]), 1e-5)
+    lines = report.summary().split("\n")
+    assert lines[:4] == [
+        "max rel err W        1.000e-07",
+        "max rel err U        2.000e-05",
+        "max rel err beta     3.000e-05",
+        "max rel err log_rho  5.000e-04",
+    ]
+    assert len(lines) == 5 and lines[4].startswith("clamp-saturated bits excluded from W check:")
+    assert not report.ok()
+    assert report.ok(decoder_tol=1e-3)
+    assert not report.ok(w_tol=1e-7, decoder_tol=1e-3)
+    assert not GradCheckReport(np.nan, 0.0, 0.0, 0.0, np.zeros(2, bool), 1e-5).ok()
+
+
+def test_train_aborts_on_non_finite_gradient_with_finite_loss(monkeypatch):
+    import genhash.training as training_module
+
+    real = training_module._batch_stats
+    calls = []
+
+    def poisoned(params, X, xi, estimator, include_direct):
+        grads, mean_loss, map_err = real(params, X, xi, estimator, include_direct)
+        calls.append(1)
+        if len(calls) == 8:
+            grads.dU[0, 0] = np.nan
+        return grads, mean_loss, map_err
+
+    monkeypatch.setattr(training_module, "_batch_stats", poisoned)
+    data = synth_mixture(200, 5, 2, 1.0, 3)
+    cfg = TrainConfig(steps=20, bits=4, batch_size=10, decay_horizon=10, seed=4)
+    with pytest.raises(TrainingError) as exc:
+        train(data, cfg, window=5)
+    err = exc.value
+    assert (err.step, err.last_good_step) == (7, 5)
+    # the snapshot is the model after the first 5 steps of the same run
+    monkeypatch.setattr(training_module, "_batch_stats", real)
+    want, _ = train(data, TrainConfig(steps=5, bits=4, batch_size=10, decay_horizon=10, seed=4))
+    _assert_params_equal(err.params, want)
