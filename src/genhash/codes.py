@@ -4,6 +4,8 @@ A code of l bits is stored in ceil(l/64) unsigned 64-bit words with
 little-endian bit order: bit k lives in word k//64 at position k%64, and
 padding bits beyond l in the last word are always zero; the words are the
 np.packbits bytes (little bit order) viewed as little-endian uint64.
+check_words is the one rule for valid words, shared by HashCode, the
+search index and queries, and the code-file writer and reader.
 
 Bit value 1 means the latent is "on". bits_to_values maps bits to code
 values: the bits themselves under the "zero-one" domain; under "plus-minus"
@@ -21,6 +23,8 @@ PLUS_MINUS = "plus-minus"
 CODE_DOMAINS = (ZERO_ONE, PLUS_MINUS)
 
 WORD_BITS = 64
+# sanity cap on the code length; Hamming distances are returned as int32
+MAX_BITS = 4096
 
 
 def n_words(l: int) -> int:
@@ -28,11 +32,18 @@ def n_words(l: int) -> int:
     return (l + WORD_BITS - 1) // WORD_BITS
 
 
-def check_padding(words, l: int):
-    """Raise InputError if a padding bit beyond l is set in (..., n_words(l)) words."""
+def check_words(words, l: int, ndim: int) -> np.ndarray:
+    """The ndim-D words of l-bit codes as contiguous uint64, or InputError:
+    1 <= l <= MAX_BITS, the last axis holds n_words(l) words, padding bits zero."""
+    if not 1 <= l <= MAX_BITS:
+        raise InputError(f"code length must lie in [1, {MAX_BITS}], got {l}")
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != ndim or words.shape[-1] != n_words(l):
+        raise InputError(f"{l}-bit codes need {ndim}-D words, {n_words(l)} each: {words.shape}")
     pad = n_words(l) * WORD_BITS - l
     if pad and np.any(words[..., -1] >> np.uint64(WORD_BITS - pad)):
         raise InputError("padding bits beyond the code length must be zero")
+    return words
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -68,15 +79,7 @@ class HashCode:
     l: int
 
     def __post_init__(self):
-        if self.l < 1:
-            raise InputError("code length must be positive")
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        if self.words.shape != (n_words(self.l),):
-            raise InputError(
-                f"expected {n_words(self.l)} words for {self.l} bits, "
-                f"got shape {self.words.shape}"
-            )
-        check_padding(self.words, self.l)
+        self.words = check_words(self.words, self.l, 1)
 
     @classmethod
     def from_bits(cls, bits) -> "HashCode":

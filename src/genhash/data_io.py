@@ -1,12 +1,12 @@
 """Dataset readers/writers, the synthetic generator, and checkpoint persistence.
 
-Vector files follow the classic ANN-benchmark record layout: a 4-byte
-little-endian int dimension prefix per record, then that many elements
-(float32 / uint8 / int32 for .fvecs / .bvecs / .ivecs). All records must
-share one dimension and files must contain whole records. The digit-image
-reader takes the big-endian IDX format. Checkpoints are a little-endian
-binary container with a trailing FNV-1a checksum; loads are bit-exact. The
-writer, the size check and the reader all follow one per-kind table.
+Each format has one layout, shared by its writer, size check and reader,
+and writers refuse what readers reject. Vector files are records
+(_vec_record) of a little-endian int32 dimension d >= 1, then d float32 /
+uint8 / int32 elements for .fvecs / .bvecs / .ivecs, one d per file; fvecs
+values are finite. Images come in big-endian IDX files. Checkpoints are
+little-endian, with per-kind payload fields (_LAYOUTS) and a trailing FNV-1a
+checksum; loads are bit-exact. Code files hold words that pass check_words.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import ItqModel, PcaModel
-from .codes import CODE_DOMAINS, check_padding, n_words
+from .codes import CODE_DOMAINS, check_words, n_words
 from .errors import FormatError, InputError
 from .model import ModelParams
 
@@ -30,6 +30,24 @@ KIND_PCA = "PCA"
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+
+# the headers after each magic
+_CHECKPOINT_HEAD = struct.Struct("<IBBIIq")  # version, kind tag, code domain, d, l, extra
+_CHECKSUM = struct.Struct("<Q")  # FNV-1a of the checkpoint payload, after it
+_CODES_HEAD = struct.Struct("<QI")  # number of codes, code length l
+_IDX_HEAD = struct.Struct(">iii")  # image count, rows, columns
+
+
+def _read_headed(path, magic: bytes, head: struct.Struct, what: str, tail: int = 0):
+    """A file's header fields and a view of the bytes after them; FormatError if
+    it is shorter than magic, header and tail bytes, or starts with another magic."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < len(magic) + head.size + tail:
+        raise FormatError(f"{path}: {what} truncated")
+    if not raw.startswith(magic):
+        raise FormatError(f"{path}: bad magic, not a {what}")
+    return head.unpack_from(raw, len(magic)), memoryview(raw)[len(magic) + head.size :]
 
 
 @dataclass
@@ -68,37 +86,40 @@ class Dataset:
 # fvecs / bvecs / ivecs
 # ---------------------------------------------------------------------------
 
-_VEC_ELEMENT = {"fvecs": ("<f4", 4), "bvecs": ("u1", 1), "ivecs": ("<i4", 4)}
+_VEC_ELEMENT = {"fvecs": np.dtype("<f4"), "bvecs": np.dtype("u1"), "ivecs": np.dtype("<i4")}
+
+
+def _vec_record(flavor: str, d: int) -> np.dtype:
+    """One record: the int32 dimension prefix, then d elements."""
+    return np.dtype([("d", "<i4"), ("v", _VEC_ELEMENT[flavor], (d,))])
 
 
 def _read_vecs(path, flavor: str) -> np.ndarray:
-    dtype, elem_size = _VEC_ELEMENT[flavor]
     with open(path, "rb") as f:
         raw = f.read()
     if not raw:
-        return np.empty((0, 0), dtype=np.dtype(dtype))
+        return np.empty((0, 0), dtype=_VEC_ELEMENT[flavor])
     if len(raw) < 4:
         raise FormatError(f"{path}: truncated dimension prefix at byte 0")
-    d = struct.unpack_from("<i", raw, 0)[0]
+    d = int.from_bytes(raw[:4], "little", signed=True)
     if d <= 0:
         raise FormatError(f"{path}: non-positive dimension {d} at byte 0")
-    record = 4 + d * elem_size
+    # sized in Python ints: numpy refuses a record dtype larger than a C int
+    record = 4 + d * _VEC_ELEMENT[flavor].itemsize
     if len(raw) % record != 0:
         offset = (len(raw) // record) * record
         raise FormatError(
             f"{path}: file size {len(raw)} is not a whole number of "
             f"{record}-byte records (trailing data at byte {offset})"
         )
-    n = len(raw) // record
-    buf = np.frombuffer(raw, dtype=np.uint8).reshape(n, record)
-    dims = buf[:, :4].copy().view("<i4").ravel()
-    bad = np.flatnonzero(dims != d)
+    records = np.frombuffer(raw, _vec_record(flavor, d))
+    bad = np.flatnonzero(records["d"] != d)
     if bad.size:
         raise FormatError(
-            f"{path}: record {bad[0]} has dimension {dims[bad[0]]} != {d} "
+            f"{path}: record {bad[0]} has dimension {records['d'][bad[0]]} != {d} "
             f"(at byte {bad[0] * record})"
         )
-    return buf[:, 4:].copy().view(dtype)
+    return records["v"]
 
 
 def read_fvecs(path) -> Dataset:
@@ -117,16 +138,23 @@ def read_ivecs(path) -> np.ndarray:
 
 
 def _write_vecs(path, rows, flavor: str):
-    dtype, _ = _VEC_ELEMENT[flavor]
+    element = _VEC_ELEMENT[flavor]
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise InputError("can only write a (N, d) matrix")
-    if flavor == "bvecs" and (np.any(rows < 0) or np.any(rows > 255)):
-        raise InputError("bvecs values must lie in [0, 255]")
     n, d = rows.shape
-    records = np.empty(n, dtype=[("d", "<i4"), ("v", dtype, (d,))])
+    if n and d < 1:
+        raise InputError("a vecs record needs at least one element")
+    if element.kind in "iu" and rows.size:
+        info = np.iinfo(element)
+        if not info.min <= rows.min() <= rows.max() <= info.max:
+            raise InputError(f"{flavor} values must lie in [{info.min}, {info.max}]")
+    records = np.empty(n, dtype=_vec_record(flavor, d))
     records["d"] = d
-    records["v"] = rows
+    with np.errstate(over="ignore"):
+        records["v"] = rows
+    if not np.isfinite(records["v"]).all():
+        raise InputError(f"{flavor} values must be finite as {element.name}")
     with open(path, "wb") as f:
         records.tofile(f)
 
@@ -152,17 +180,13 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 def read_mnist_idx(path) -> Dataset:
     """Read a big-endian IDX image file; pixels are scaled into [0, 1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: IDX header truncated")
-    magic, count, rows_, cols = struct.unpack_from(">iiii", raw, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad IDX magic {magic:#010x}")
-    expected = 16 + count * rows_ * cols
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows_ * cols)
+    magic = IDX_IMAGE_MAGIC.to_bytes(4, "big")
+    (count, rows_, cols), body = _read_headed(path, magic, _IDX_HEAD, "IDX image file")
+    if min(count, rows_, cols) < 0:
+        raise FormatError(f"{path}: negative IDX dimension in {count}x{rows_}x{cols}")
+    if len(body) != count * rows_ * cols:
+        raise FormatError(f"{path}: {count}x{rows_}x{cols} pixels, {len(body)} bytes")
+    pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, rows_ * cols)
     return Dataset(pixels.astype(np.float64) / 255.0, source=str(path))
 
 
@@ -206,19 +230,20 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-# Each kind's header tag, model class, and payload as float64 blocks in file
-# order: attribute -> shape. SGH appends a centred flag byte and a (d,) mean
-# and sets the header's domain byte; ITQ sets its extra field (iterations).
+_F8 = "<f8"
+# Each kind's header tag, model class, and payload fields in file order:
+# name -> (dtype, shape). The fields are model attributes, except SGH's
+# centred flag byte and centre mean. SGH sets the header's domain byte and
+# ITQ its extra field (the iteration count).
 _LAYOUTS = {
-    KIND_SGH: (0, ModelParams, lambda d, l: {"W": (d, l), "U": (d, l), "beta": (l,), "log_rho": ()}),
-    KIND_ITQ: (1, ItqModel, lambda d, l: {"mean": (d,), "W_pca": (d, l), "R": (l, l), "scale": (l,)}),
-    KIND_PCA: (2, PcaModel, lambda d, l: {"mean": (d,), "W_pca": (d, l)}),
+    KIND_SGH: (0, ModelParams, lambda d, l: {"W": (_F8, (d, l)), "U": (_F8, (d, l)),
+               "beta": (_F8, (l,)), "log_rho": (_F8, ()), "centred": ("u1", ()),
+               "center_mean": (_F8, (d,))}),
+    KIND_ITQ: (1, ItqModel, lambda d, l: {"mean": (_F8, (d,)), "W_pca": (_F8, (d, l)),
+               "R": (_F8, (l, l)), "scale": (_F8, (l,))}),
+    KIND_PCA: (2, PcaModel, lambda d, l: {"mean": (_F8, (d,)), "W_pca": (_F8, (d, l))}),
 }
 _TAG_KINDS = {tag: kind for kind, (tag, _, _) in _LAYOUTS.items()}
-
-
-def _block(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def save_checkpoint(path, model, center_mean=None):
@@ -227,27 +252,22 @@ def save_checkpoint(path, model, center_mean=None):
     if kind is None:
         raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
     d, l = model.d, model.l
-    blocks = _LAYOUTS[kind][2](d, l)
-    for attr, shape in blocks.items():
-        got = np.shape(getattr(model, attr))
-        if got != shape:
-            raise InputError(f"{kind} block {attr} has shape {got}, expected {shape}")
-    payload = b"".join(_block(getattr(model, attr)) for attr in blocks)
+    mean = np.zeros(d) if center_mean is None else center_mean
+    values = {"centred": center_mean is not None, "center_mean": mean, **vars(model)}
+    blocks = []
+    for name, (dtype, shape) in _LAYOUTS[kind][2](d, l).items():
+        if np.shape(values[name]) != shape:
+            got = np.shape(values[name])
+            raise InputError(f"{kind} block {name} has shape {got}, expected {shape}")
+        blocks.append(np.ascontiguousarray(values[name], dtype=dtype).tobytes())
+    payload = b"".join(blocks)
     domain = CODE_DOMAINS.index(model.code_domain) if kind == KIND_SGH else 0
     extra = model.iterations if kind == KIND_ITQ else 0
-    if kind == KIND_SGH:
-        mean = np.zeros(d) if center_mean is None else np.asarray(center_mean, dtype=np.float64)
-        if mean.shape != (d,):
-            raise InputError(f"center mean must have length {d}")
-        payload += struct.pack("<B", 0 if center_mean is None else 1) + _block(mean)
-
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IBBIIq", CHECKPOINT_VERSION, _LAYOUTS[kind][0], domain, d, l, extra
-    )
+    header = _CHECKPOINT_HEAD.pack(CHECKPOINT_VERSION, _LAYOUTS[kind][0], domain, d, l, extra)
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(CHECKPOINT_MAGIC + header)
         f.write(payload)
-        f.write(struct.pack("<Q", fnv1a_64(payload)))
+        f.write(_CHECKSUM.pack(fnv1a_64(payload)))
 
 
 def load_checkpoint(path, expect_kind=None):
@@ -256,15 +276,8 @@ def load_checkpoint(path, expect_kind=None):
     Rejects unknown versions, checksum mismatches, and (when expect_kind is
     given) checkpoints of a different model kind.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    head_size = len(CHECKPOINT_MAGIC) + struct.calcsize("<IBBIIq")
-    if len(raw) < head_size + 8:
-        raise FormatError(f"{path}: checkpoint truncated")
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version, tag, domain, d, l, extra = struct.unpack_from(
-        "<IBBIIq", raw, len(CHECKPOINT_MAGIC)
+    (version, tag, domain, d, l, extra), body = _read_headed(
+        path, CHECKPOINT_MAGIC, _CHECKPOINT_HEAD, "checkpoint", _CHECKSUM.size
     )
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
@@ -274,36 +287,31 @@ def load_checkpoint(path, expect_kind=None):
     if expect_kind is not None and kind != expect_kind:
         raise FormatError(f"{path}: checkpoint holds a {kind} model, expected {expect_kind}")
     # the header is outside the checksum: check it against the payload
-    # before any block is read from it
+    # before any field is read from it
     domains = len(CODE_DOMAINS) if kind == KIND_SGH else 1
     if domain >= domains:
         raise FormatError(f"{path}: bad code domain byte {domain} for a {kind} checkpoint")
-    payload = raw[head_size:-8]
-    blocks = _LAYOUTS[kind][2](d, l)
-    expected = 8 * sum(map(math.prod, blocks.values()))
-    if kind == KIND_SGH:
-        expected += 1 + 8 * d
+    payload, (stored,) = body[: -_CHECKSUM.size], _CHECKSUM.unpack(body[-_CHECKSUM.size :])
+    fields = _LAYOUTS[kind][2](d, l)
+    expected = sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in fields.values())
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, but a {kind} checkpoint with "
             f"d={d}, l={l} holds {expected}"
         )
-    (stored,) = struct.unpack("<Q", raw[-8:])
     if fnv1a_64(payload) != stored:
         raise FormatError(f"{path}: checksum mismatch; file is corrupted")
 
-    fields, offset = {}, 0
-    for attr, shape in blocks.items():
-        count = math.prod(shape)
-        fields[attr] = np.frombuffer(payload, "<f8", count, offset).reshape(shape).copy()
-        offset += 8 * count
+    values, offset = {}, 0
+    for name, (dtype, shape) in fields.items():
+        values[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape).copy()
+        offset += values[name].nbytes
     if kind == KIND_SGH:
-        fields["code_domain"] = CODE_DOMAINS[domain]
+        values["code_domain"] = CODE_DOMAINS[domain]
     elif kind == KIND_ITQ:
-        fields["iterations"] = int(extra)
-    model = _LAYOUTS[kind][1](**fields)
-    centred = kind == KIND_SGH and payload[offset]
-    return model, (np.frombuffer(payload, "<f8", d, offset + 1).copy() if centred else None)
+        values["iterations"] = int(extra)
+    centred, mean = values.pop("centred", 0), values.pop("center_mean", None)
+    return _LAYOUTS[kind][1](**values), (mean if centred else None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +321,20 @@ def load_checkpoint(path, expect_kind=None):
 
 def write_packed_codes(path, codes: np.ndarray, l: int):
     """Header (magic, N, l) followed by N*ceil(l/64) little-endian words."""
-    if l < 1:
-        raise InputError(f"code length must be >= 1, got {l}")
-    codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    if codes.ndim != 2 or codes.shape[1] != n_words(l):
-        raise InputError(f"codes must be (N, {n_words(l)}) for {l} bits")
-    check_padding(codes, l)
+    codes = check_words(codes, l, 2)
     with open(path, "wb") as f:
         f.write(CODES_MAGIC)
-        f.write(struct.pack("<QI", codes.shape[0], l))
+        f.write(_CODES_HEAD.pack(codes.shape[0], l))
         f.write(codes.astype("<u8").tobytes())
 
 
 def read_packed_codes(path):
     """Returns (codes, l) as written by write_packed_codes."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    head = len(CODES_MAGIC) + struct.calcsize("<QI")
-    if len(raw) < head:
-        raise FormatError(f"{path}: code file truncated")
-    if raw[: len(CODES_MAGIC)] != CODES_MAGIC:
-        raise FormatError(f"{path}: not a packed-code file")
-    count, l = struct.unpack_from("<QI", raw, len(CODES_MAGIC))
-    if l < 1:
-        raise FormatError(f"{path}: code length {l} must be >= 1")
-    expected = head + count * n_words(l) * 8
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    words = np.frombuffer(raw, dtype="<u8", offset=head).reshape(count, n_words(l))
+    (count, l), body = _read_headed(path, CODES_MAGIC, _CODES_HEAD, "packed-code file")
+    if len(body) != 8 * count * n_words(l):
+        raise FormatError(f"{path}: {count} codes of {l} bits, {len(body)} bytes")
+    words = np.frombuffer(body, dtype="<u8").reshape(-1, max(n_words(l), 1))  # l = 0 fails below
     try:
-        check_padding(words, l)
+        return check_words(words, l, 2).copy(), l
     except InputError as err:
         raise FormatError(f"{path}: {err}") from None
-    return words.astype(np.uint64), l

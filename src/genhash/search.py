@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import HashCode, bits_to_values, check_padding, n_words, unpack_bits
+from .codes import MAX_BITS  # the code-length cap, also importable from here
+from .codes import HashCode, bits_to_values, check_words, unpack_bits
 from .errors import InputError
 from .model import ModelParams
-
-# sanity cap on the code length; distances are returned as int32
-MAX_BITS = 4096
 
 
 @dataclass
@@ -30,15 +28,7 @@ class BinaryIndex:
     ids: np.ndarray | None = None
 
     def __post_init__(self):
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.uint64)
-        if self.codes.ndim != 2 or self.codes.shape[1] != n_words(self.l):
-            raise InputError(
-                f"codes must be (N, {n_words(self.l)}) words for {self.l} bits, "
-                f"got {self.codes.shape}"
-            )
-        if not 1 <= self.l <= MAX_BITS:
-            raise InputError(f"code length must lie in [1, {MAX_BITS}]")
-        check_padding(self.codes, self.l)
+        self.codes = check_words(self.codes, self.l, 2)
         if self.ids is not None:
             self.ids = np.asarray(self.ids)
             if self.ids.shape != (len(self),):
@@ -107,10 +97,7 @@ def knn_hamming(index: BinaryIndex, query: HashCode, n: int) -> np.ndarray:
 def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.ndarray:
     """knn_hamming over a (Q, words) array of packed queries; (Q, min(n,N)) ids."""
     _check_n(n)
-    queries = np.ascontiguousarray(queries, dtype=np.uint64)
-    if queries.ndim != 2 or queries.shape[1] != n_words(index.l):
-        raise InputError(f"queries must be (Q, {n_words(index.l)}) packed words")
-    check_padding(queries, index.l)
+    queries = check_words(queries, index.l, 2)
     out = np.empty((len(queries), min(n, len(index))), dtype=np.int64)
     for row, words in zip(out, queries):
         row[:] = _select_nearest(_scan(index.codes, words), n)

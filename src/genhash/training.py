@@ -448,7 +448,7 @@ class GradCheckReport:
                  for name, err in zip(ModelParams.BLOCKS, self._errors())]
         if self.clamped_bits.any():
             idx = np.flatnonzero(self.clamped_bits)
-            lines.append(f"clamp-saturated bits excluded from W check: {list(idx)}")
+            lines.append(f"clamp-saturated bits excluded from W check: {idx.tolist()}")
         return "\n".join(lines)
 
 

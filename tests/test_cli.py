@@ -8,6 +8,8 @@ from genhash.cli import main
 
 from conftest import write_corrupt_checkpoint
 
+IDX_NEGATIVE_DIMENSION = struct.pack(">iiii", 0x803, 0, -3, 5)
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -342,3 +344,31 @@ def test_data_formats_share_one_reader_table(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run("encode", "--ckpt", "m.ckpt", "--data", "x", "--format", "npy", "--out", "c")
     assert exc.value.code == 2
+
+
+def test_groundtruth_zero_k_exits_2_and_writes_nothing(tmp_path):
+    out = tmp_path / "t.ivecs"
+    assert run("groundtruth", "--data", "n=50,d=8,clusters=3,spread=1.0", "--format", "synth",
+               "--queries", "n=5,d=8,clusters=2,spread=1.0", "--queries-format", "synth",
+               "--k", "0", "--out", out) == 2
+    assert not out.exists()
+
+
+def test_train_on_idx_with_negative_dimension_exits_3(tmp_path):
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(IDX_NEGATIVE_DIMENSION)
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--data", path, "--format", "idx", "--bits", "4", "--steps", "1",
+               "--batch", "1", "--out", out) == 3
+    assert not out.exists()
+
+
+def test_eval_code_file_over_the_bit_cap_exits_3(tmp_path):
+    codes = tmp_path / "wide.codes"
+    words = np.zeros((1, 79), dtype="<u8")  # 5000 bits take 79 words
+    codes.write_bytes(b"GHCODES\x00" + struct.pack("<QI", 1, 5000) + words.tobytes())
+    truth = tmp_path / "t.ivecs"
+    data_io.write_ivecs(truth, np.zeros((1, 1), dtype=np.int32))
+    assert run("eval", "--codes", codes, "--query-codes", codes, "--truth", truth,
+               "--k", "1", "--out", tmp_path / "r.csv") == 3
+    assert not (tmp_path / "r.csv").exists()

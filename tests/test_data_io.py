@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from genhash.baselines import ItqModel, PcaModel, itq_fit, pca_fit
-from genhash.codes import CODE_DOMAINS, PLUS_MINUS
+from genhash.cli import main
+from genhash.codes import CODE_DOMAINS, MAX_BITS, PLUS_MINUS, WORD_BITS, n_words, pack_bits
 from genhash.data_io import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    CODES_MAGIC,
+    IDX_IMAGE_MAGIC,
     KIND_ITQ,
     KIND_PCA,
     KIND_SGH,
+    Dataset,
     fnv1a_64,
     load_checkpoint,
     read_bvecs,
@@ -581,3 +585,335 @@ def test_packed_codes_padding_bits_fail_closed(tmp_path, l):
     write_packed_codes(path, codes, l)
     back, back_l = read_packed_codes(path)
     assert back_l == l and np.array_equal(back, codes)
+
+
+# ---------------------------------------------------------------------------
+# readers as written before the shared layouts and headers, kept verbatim
+# (bar the names) as references
+# ---------------------------------------------------------------------------
+
+_REFERENCE_VEC_ELEMENT = {"fvecs": ("<f4", 4), "bvecs": ("u1", 1), "ivecs": ("<i4", 4)}
+
+
+def _reference_read_vecs(path, flavor: str) -> np.ndarray:
+    dtype, elem_size = _REFERENCE_VEC_ELEMENT[flavor]
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw:
+        return np.empty((0, 0), dtype=np.dtype(dtype))
+    if len(raw) < 4:
+        raise FormatError(f"{path}: truncated dimension prefix at byte 0")
+    d = struct.unpack_from("<i", raw, 0)[0]
+    if d <= 0:
+        raise FormatError(f"{path}: non-positive dimension {d} at byte 0")
+    record = 4 + d * elem_size
+    if len(raw) % record != 0:
+        offset = (len(raw) // record) * record
+        raise FormatError(
+            f"{path}: file size {len(raw)} is not a whole number of "
+            f"{record}-byte records (trailing data at byte {offset})"
+        )
+    n = len(raw) // record
+    buf = np.frombuffer(raw, dtype=np.uint8).reshape(n, record)
+    dims = buf[:, :4].copy().view("<i4").ravel()
+    bad = np.flatnonzero(dims != d)
+    if bad.size:
+        raise FormatError(
+            f"{path}: record {bad[0]} has dimension {dims[bad[0]]} != {d} "
+            f"(at byte {bad[0] * record})"
+        )
+    return buf[:, 4:].copy().view(dtype)
+
+
+def _reference_read_mnist_idx(path) -> Dataset:
+    """Read a big-endian IDX image file; pixels are scaled into [0, 1]."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < 16:
+        raise FormatError(f"{path}: IDX header truncated")
+    magic, count, rows_, cols = struct.unpack_from(">iiii", raw, 0)
+    if magic != IDX_IMAGE_MAGIC:
+        raise FormatError(f"{path}: bad IDX magic {magic:#010x}")
+    expected = 16 + count * rows_ * cols
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows_ * cols)
+    return Dataset(pixels.astype(np.float64) / 255.0, source=str(path))
+
+
+def _reference_check_padding(words, l: int):
+    """Raise InputError if a padding bit beyond l is set in (..., n_words(l)) words."""
+    pad = n_words(l) * WORD_BITS - l
+    if pad and np.any(words[..., -1] >> np.uint64(WORD_BITS - pad)):
+        raise InputError("padding bits beyond the code length must be zero")
+
+
+def _reference_read_packed_codes(path):
+    """Returns (codes, l) as written by write_packed_codes."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    head = len(CODES_MAGIC) + struct.calcsize("<QI")
+    if len(raw) < head:
+        raise FormatError(f"{path}: code file truncated")
+    if raw[: len(CODES_MAGIC)] != CODES_MAGIC:
+        raise FormatError(f"{path}: not a packed-code file")
+    count, l = struct.unpack_from("<QI", raw, len(CODES_MAGIC))
+    if l < 1:
+        raise FormatError(f"{path}: code length {l} must be >= 1")
+    expected = head + count * n_words(l) * 8
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    words = np.frombuffer(raw, dtype="<u8", offset=head).reshape(count, n_words(l))
+    try:
+        _reference_check_padding(words, l)
+    except InputError as err:
+        raise FormatError(f"{path}: {err}") from None
+    return words.astype(np.uint64), l
+
+
+def _reference_read_fvecs(path):
+    return Dataset(_reference_read_vecs(path, "fvecs").astype(np.float64), source=str(path))
+
+
+def _reference_read_bvecs(path):
+    return Dataset(_reference_read_vecs(path, "bvecs").astype(np.float64), source=str(path))
+
+
+def _reference_read_ivecs(path):
+    return _reference_read_vecs(path, "ivecs").astype(np.int32)
+
+
+def _loaded_arrays(loaded):
+    """What a reader returned, as a flat list of arrays and scalars to compare."""
+    if isinstance(loaded, Dataset):
+        return [loaded.rows]
+    if isinstance(loaded, np.ndarray):
+        return [loaded]
+    first, second = loaded
+    if isinstance(first, np.ndarray):  # (codes, l)
+        return [first, second]
+    fields = [getattr(first, attr) for attr in _MODEL_FIELDS[type(first)]]
+    return [type(first).__name__, *fields, second is None] + ([] if second is None else [second])
+
+
+def _assert_same_load(got, want):
+    got, want = _loaded_arrays(got), _loaded_arrays(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+_READERS = {
+    "fvecs": (read_fvecs, _reference_read_fvecs),
+    "bvecs": (read_bvecs, _reference_read_bvecs),
+    "ivecs": (read_ivecs, _reference_read_ivecs),
+    "codes": (read_packed_codes, _reference_read_packed_codes),
+    "idx": (read_mnist_idx, _reference_read_mnist_idx),
+    "ckpt": (load_checkpoint, _reference_load_checkpoint),
+}
+
+
+def _write_valid_files(tmp_path, rng):
+    """Write valid files of every format, edge shapes included; yields (path, _READERS key)."""
+    for n, d in ((5, 3), (1, 1), (0, 3)):
+        for flavor, writer, rows in (
+            ("fvecs", write_fvecs, rng.normal(size=(n, d)).astype(np.float32)),
+            ("bvecs", write_bvecs, rng.integers(0, 256, size=(n, d))),
+            ("ivecs", write_ivecs, rng.integers(-(2**31), 2**31, size=(n, d))),
+        ):
+            path = tmp_path / f"{n}x{d}.{flavor}"
+            writer(path, rows)
+            yield path, flavor
+    for l in (1, 8, 63, 64, 65, 130, MAX_BITS):
+        for n in (0, 4):
+            path = tmp_path / f"{n}x{l}.codes"
+            write_packed_codes(path, pack_bits(rng.random((n, l)) < 0.5), l)
+            yield path, "codes"
+    for shape in ((3, 2, 2), (0, 28, 28), (2, 1, 5)):
+        path = tmp_path / ("x".join(map(str, shape)) + ".idx")
+        path.write_bytes(_idx_fixture(rng.integers(0, 256, size=shape, dtype=np.uint8)))
+        yield path, "idx"
+    for name, model, mean in _oracle_models(rng):
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(path, model, center_mean=mean)
+        yield path, "ckpt"
+
+
+def test_readers_equal_reference_on_valid_files(tmp_path, rng):
+    for path, key in _write_valid_files(tmp_path, rng):
+        read, reference = _READERS[key]
+        _assert_same_load(read(path), reference(path))
+        if key == "codes":
+            words, _ = read(path)
+            assert words.flags.writeable and words.flags.c_contiguous, path.name
+
+
+# ---------------------------------------------------------------------------
+# writers refuse what readers reject
+# ---------------------------------------------------------------------------
+
+
+def test_packed_codes_over_the_bit_cap_fail_closed(tmp_path):
+    l = MAX_BITS + 904  # 5000 bits
+    words = np.zeros((2, n_words(l)), dtype=np.uint64)
+    path = tmp_path / "codes.bin"
+    with pytest.raises(InputError, match="code length"):
+        write_packed_codes(path, words, l)
+    assert not path.exists()
+    # the same words written by hand: the parent reader loaded them
+    path.write_bytes(CODES_MAGIC + struct.pack("<QI", 2, l) + words.astype("<u8").tobytes())
+    with pytest.raises(FormatError, match="code length"):
+        read_packed_codes(path)
+    assert _reference_read_packed_codes(path)[1] == l
+
+
+@pytest.mark.parametrize(
+    "writer,rows",
+    [
+        (write_ivecs, [[2**40, 3]]),
+        (write_ivecs, [[-(2**31) - 1, 0]]),
+        (write_ivecs, [[np.nan, 1.0]]),
+        (write_bvecs, [[2.0, np.nan]]),
+        (write_fvecs, [[1e300, 3.0]]),
+        (write_fvecs, [[-1e39, 3.0]]),
+        (write_fvecs, [[1.0, np.nan]]),
+        (write_fvecs, [[np.inf, 0.0]]),
+        (write_fvecs, np.zeros((2, 0))),
+        (write_ivecs, np.zeros((1, 0), dtype=np.int32)),
+    ],
+)
+def test_vecs_writers_refuse_what_readers_reject(tmp_path, writer, rows):
+    path = tmp_path / "data.vecs"
+    with pytest.raises(InputError):
+        writer(path, rows)
+    assert not path.exists()
+
+
+def test_vecs_writers_keep_the_extremes_of_each_type(tmp_path):
+    path = tmp_path / "data.vecs"
+    write_ivecs(path, [[-(2**31), 2**31 - 1]])
+    assert read_ivecs(path).tolist() == [[-(2**31), 2**31 - 1]]
+    big = float(np.finfo(np.float32).max)
+    write_fvecs(path, [[big, -big]])
+    assert read_fvecs(path).rows.tolist() == [[big, -big]]
+    write_bvecs(path, [[0, 255]])
+    assert read_bvecs(path).rows.tolist() == [[0.0, 255.0]]
+    write_fvecs(path, np.empty((0, 0)))  # no records: an empty file, read back as (0, 0)
+    assert path.read_bytes() == b"" and read_fvecs(path).rows.shape == (0, 0)
+
+
+@pytest.mark.parametrize("reader", [read_fvecs, read_bvecs, read_ivecs])
+def test_vecs_huge_dimension_prefix_is_a_format_error(tmp_path, reader):
+    path = tmp_path / "data.vecs"
+    path.write_bytes(struct.pack("<i", 2**31 - 1) + bytes(12))
+    with pytest.raises(FormatError):
+        reader(path)
+
+
+def test_idx_negative_dimension_is_a_format_error(tmp_path):
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(struct.pack(">iiii", 0x803, 0, -3, 5))
+    with pytest.raises(FormatError, match="negative"):
+        read_mnist_idx(path)
+    with pytest.raises(ValueError):  # the parent reader's numpy error
+        _reference_read_mnist_idx(path)
+
+
+# ---------------------------------------------------------------------------
+# byte sweep: every truncation and single-byte flip of a small file of each
+# format is rejected as malformed or loads as the parent reader loads it
+# ---------------------------------------------------------------------------
+
+_SWEEP_D = 4  # data width of the sweep's checkpoints and data files
+_SWEEP_KINDS = ("SGH", "ITQ", "PCA", "codes", "fvecs", "bvecs", "ivecs", "idx")
+
+
+def _mutations(raw: bytes):
+    """Every proper prefix of raw, and raw with one byte XORed by 0x01 or by 0xFF."""
+    for end in range(len(raw)):
+        yield raw[:end]
+    for at in range(len(raw)):
+        for mask in (0x01, 0xFF):
+            flipped = bytearray(raw)
+            flipped[at] ^= mask
+            yield bytes(flipped)
+
+
+def _outcome(read, path):
+    """The reader's outcome: ("load", result), ("format", None) or ("input", None)."""
+    try:
+        return "load", read(path)
+    except FormatError:
+        return "format", None
+    except InputError:
+        return "input", None
+
+
+def _sweep_case(kind, tmp_path, rng):
+    """A small valid file of `kind`, and the CLI argv that reads it (None marks its path)."""
+    sgh = tmp_path / "sgh.ckpt"
+    save_checkpoint(sgh, random_params(rng, _SWEEP_D, 2), center_mean=rng.normal(size=_SWEEP_D))
+    codes = tmp_path / "codes.bin"
+    write_packed_codes(codes, pack_bits(rng.random((3, 8)) < 0.5), 8)
+    truth = tmp_path / "truth.ivecs"
+    write_ivecs(truth, [[0, 1], [1, 2], [2, 0]])
+    out = tmp_path / "out"
+    if kind in ("SGH", "ITQ", "PCA"):
+        X = rng.normal(size=(40, _SWEEP_D))
+        baselines = {"ITQ": itq_fit(X, 2, iterations=2), "PCA": PcaModel(*pca_fit(X, 2))}
+        if kind in baselines:
+            save_checkpoint(sgh, baselines[kind])
+        argv = ["reconstruct", "--ckpt", None, "--data", f"n=6,d={_SWEEP_D},clusters=2,spread=1.0",
+                "--format", "synth", "--shape", "2x2", "--count", "2", "--out", out]
+        return sgh.read_bytes(), argv
+    if kind == "codes":
+        argv = ["eval", "--codes", None, "--query-codes", None, "--truth", truth, "--k", "1",
+                "--out", out]
+        return codes.read_bytes(), argv
+    if kind == "ivecs":
+        argv = ["eval", "--codes", codes, "--query-codes", codes, "--truth", None, "--k", "2",
+                "--out", out]
+        return truth.read_bytes(), argv
+    data = tmp_path / "data"
+    if kind == "idx":
+        data.write_bytes(_idx_fixture(rng.integers(1, 255, size=(3, 2, 2), dtype=np.uint8)))
+    elif kind == "fvecs":
+        write_fvecs(data, rng.normal(size=(3, _SWEEP_D)) + 3.0)
+    else:
+        write_bvecs(data, rng.integers(1, 255, size=(3, _SWEEP_D)))
+    return data.read_bytes(), ["encode", "--ckpt", sgh, "--data", None, "--format", kind, "--out", out]
+
+
+def _cli_exit(kind, outcome, loaded):
+    """The exit code the command must give for a file with this reader outcome."""
+    if outcome != "load":
+        return {"format": 3, "input": 2}[outcome]
+    # a truth file cut at a record boundary is valid, but holds fewer lists than
+    # there are queries: eval rejects that as an input mismatch
+    if kind == "ivecs" and loaded.shape != (3, 2):
+        return 2
+    return 0
+
+
+@pytest.mark.parametrize("kind", _SWEEP_KINDS)
+def test_byte_sweep_fails_closed_and_matches_reference(tmp_path, rng, kind):
+    raw, argv = _sweep_case(kind, tmp_path, rng)
+    read, reference = _READERS["ckpt" if kind in ("SGH", "ITQ", "PCA") else kind]
+    path = tmp_path / "sweep"
+    argv = [path if arg is None else arg for arg in argv]
+    seen = set()
+    for mutated in _mutations(raw):
+        path.write_bytes(mutated)
+        outcome, loaded = _outcome(read, path)
+        ref_outcome, ref_loaded = _outcome(reference, path)
+        assert outcome == ref_outcome, (kind, mutated)
+        if outcome == "load":
+            _assert_same_load(loaded, ref_loaded)
+        # non-finite values are the only input error a reader raises
+        assert outcome != "input" or kind == "fvecs", (kind, mutated)
+        assert main([str(arg) for arg in argv]) == _cli_exit(kind, outcome, loaded), (kind, mutated)
+        seen.add(outcome)
+    assert {"load", "format"} <= seen

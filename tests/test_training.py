@@ -820,6 +820,11 @@ def test_grad_check_summary_and_ok_by_block():
     assert not GradCheckReport(np.nan, 0.0, 0.0, 0.0, np.zeros(2, bool), 1e-5).ok()
 
 
+def test_grad_check_summary_lists_saturated_bits_as_plain_ints():
+    report = GradCheckReport(1e-7, 2e-5, 3e-5, 5e-4, np.array([False, True]), 1e-5)
+    assert report.summary().split("\n")[4] == "clamp-saturated bits excluded from W check: [1]"
+
+
 def test_train_aborts_on_non_finite_gradient_with_finite_loss(monkeypatch):
     import genhash.training as training_module
 
