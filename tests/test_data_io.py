@@ -763,7 +763,7 @@ def test_packed_codes_over_the_bit_cap_fail_closed(tmp_path):
     with pytest.raises(InputError, match="code length"):
         write_packed_codes(path, words, l)
     assert not path.exists()
-    # the same words written by hand: the parent reader loaded them
+    # the same words written by hand: the reference reader loads them
     path.write_bytes(CODES_MAGIC + struct.pack("<QI", 2, l) + words.astype("<u8").tobytes())
     with pytest.raises(FormatError, match="code length"):
         read_packed_codes(path)
@@ -818,13 +818,13 @@ def test_idx_negative_dimension_is_a_format_error(tmp_path):
     path.write_bytes(struct.pack(">iiii", 0x803, 0, -3, 5))
     with pytest.raises(FormatError, match="negative"):
         read_mnist_idx(path)
-    with pytest.raises(ValueError):  # the parent reader's numpy error
+    with pytest.raises(ValueError):  # the reference reader fails open with numpy's error
         _reference_read_mnist_idx(path)
 
 
 # ---------------------------------------------------------------------------
 # byte sweep: every truncation and single-byte flip of a small file of each
-# format is rejected as malformed or loads as the parent reader loads it
+# format is rejected as malformed or loads as the reference reader loads it
 # ---------------------------------------------------------------------------
 
 _SWEEP_D = 4  # data width of the sweep's checkpoints and data files
