@@ -184,6 +184,8 @@ def read_mnist_idx(path) -> Dataset:
     (count, rows_, cols), body = _read_headed(path, magic, _IDX_HEAD, "IDX image file")
     if min(count, rows_, cols) < 0:
         raise FormatError(f"{path}: negative IDX dimension in {count}x{rows_}x{cols}")
+    if rows_ * cols > np.iinfo(np.intp).max // 8:  # over numpy's size limit for a float64 row
+        raise FormatError(f"{path}: {rows_}x{cols}-pixel images are too large")
     if len(body) != count * rows_ * cols:
         raise FormatError(f"{path}: {count}x{rows_}x{cols} pixels, {len(body)} bytes")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, rows_ * cols)

@@ -7,6 +7,10 @@ partition, keeps every position below the cut plus the lowest ones at the
 cut, and sorts only those n candidates. The float scans reject non-finite
 queries in _finite. Indexes are immutable after construction and queries
 are pure, so batch queries may run in parallel over the query axis.
+
+The asymmetric scan (_asym_scores) scores the index in blocks of rows
+through one reused float64 buffer of about 1 MB, so a query never holds
+more than one block of unpacked code values; see asymmetric_ip_search.
 """
 
 from dataclasses import dataclass
@@ -154,10 +158,52 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
     Precomputes s = U^T x once; each code then scores sum of s over its set
     bits (sign-weighted under the plus-minus domain). Descending score, ties
     by ascending id.
+
+    The scores come from _asym_scores, one matrix-vector product per block
+    of rows. The BLAS dgemv sums the last N mod 4 rows of a call in another
+    order than the rest, so every block holds a multiple of 4 rows and the
+    last one takes the remainder: only the last N mod 4 rows of the index
+    take that path, as in one product over the whole index. Ties caveat:
+    a code in those last rows can score apart from an identical code
+    elsewhere by its last bit, so such ties may not break by id.
     """
     _check_n(n)
     if params.l != index.l:
         raise InputError(f"model code length {params.l} != index length {index.l}")
     s = params.U.T @ _finite(params._point(query))
-    values = bits_to_values(unpack_bits(index.codes, index.l), params.code_domain)
-    return index.external_ids(_select_nearest(-(values @ s), n))
+    scores = _asym_scores(index, params.code_domain, s)
+    return index.external_ids(_select_nearest(np.negative(scores, out=scores), n))
+
+
+# a block of the asymmetric scan holds about this many bytes of float64 code values
+_ASYM_BLOCK_BYTES = 1 << 20
+
+
+def _asym_block_rows(l: int) -> int:
+    """Rows per block of the asymmetric scan: a multiple of 4, 2048 at l=64."""
+    return max(4, _ASYM_BLOCK_BYTES // (8 * l) // 4 * 4)
+
+
+def _asym_scores(index: BinaryIndex, code_domain: str, s: np.ndarray) -> np.ndarray:
+    """(N,) scores values @ s, where values are the code values of each row.
+
+    Each block of rows is unpacked, mapped to its code values (those of
+    bits_to_values) in one buffer allocated per call, and multiplied by s
+    into its slice of the scores. The last block also takes a remainder of
+    fewer than 4 rows, so no call scores a lone row: numpy computes a
+    one-row product as a dot product, in yet another order.
+    """
+    l = index.l
+    block = _asym_block_rows(l)
+    bounds = [0, *range(block, len(index) - 3, block), len(index)]
+    off, on = bits_to_values(np.array([False, True]), code_domain)
+    values = np.empty((min(block + 3, len(index)), l))
+    scores = np.empty(len(index))
+    for a, b in zip(bounds, bounds[1:]):
+        buffer = values[: b - a]
+        np.copyto(buffer, unpack_bits(index.codes[a:b], l))
+        if (off, on) != (0.0, 1.0):  # bits_to_values is off + b (on - off), exact
+            buffer *= on - off
+            buffer += off
+        np.matmul(buffer, s, out=scores[a:b])
+    return scores

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import ZERO_ONE, HashCode, bits_to_values
+from .codes import MAX_BITS, ZERO_ONE, HashCode, bits_to_values
 from .errors import CapabilityError, InputError, TrainingError
 from .model import (
     ModelParams,
@@ -84,12 +84,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise InputError("steps must be >= 0")
-        if self.bits < 1:
-            raise InputError("bits must be >= 1")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise InputError(f"bits must lie in [1, {MAX_BITS}]")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise InputError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # also false for NaN
+            raise InputError("lr must be positive and finite")
         if self.estimator not in ESTIMATORS:
             raise InputError(f"estimator must be one of {ESTIMATORS}")
         if self.optimizer not in OPTIMIZERS:

@@ -9,6 +9,7 @@ from genhash.cli import main
 from conftest import write_corrupt_checkpoint
 
 IDX_NEGATIVE_DIMENSION = struct.pack(">iiii", 0x803, 0, -3, 5)
+IDX_HUGE_IMAGES = struct.pack(">iiii", 0x803, 0, 2**30, 2**30)
 
 
 def run(*argv):
@@ -354,12 +355,29 @@ def test_groundtruth_zero_k_exits_2_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_train_on_idx_with_negative_dimension_exits_3(tmp_path):
+def _train_on_idx(tmp_path, header):
     path = tmp_path / "imgs.idx"
-    path.write_bytes(IDX_NEGATIVE_DIMENSION)
+    path.write_bytes(header)
     out = tmp_path / "m.ckpt"
-    assert run("train", "--data", path, "--format", "idx", "--bits", "4", "--steps", "1",
-               "--batch", "1", "--out", out) == 3
+    code = run("train", "--data", path, "--format", "idx", "--bits", "4", "--steps", "1",
+               "--batch", "1", "--out", out)
+    return code, out.exists()
+
+
+def test_train_on_idx_with_negative_dimension_exits_3(tmp_path):
+    assert _train_on_idx(tmp_path, IDX_NEGATIVE_DIMENSION) == (3, False)
+
+
+def test_train_on_idx_with_images_too_large_exits_3(tmp_path):
+    assert _train_on_idx(tmp_path, IDX_HUGE_IMAGES) == (3, False)
+
+
+@pytest.mark.parametrize("flag", [("--lr", "nan"), ("--lr", "inf"), ("--bits", "5000")])
+def test_train_bad_config_exits_2_and_writes_nothing(tmp_path, synth_args, flag):
+    out = tmp_path / "m.ckpt"
+    # the last of a repeated flag wins
+    assert run("train", *synth_args, "--bits", "4", "--steps", "5", "--batch", "50",
+               "--out", out, *flag) == 2
     assert not out.exists()
 
 

@@ -813,13 +813,21 @@ def test_vecs_huge_dimension_prefix_is_a_format_error(tmp_path, reader):
         reader(path)
 
 
-def test_idx_negative_dimension_is_a_format_error(tmp_path):
+def _assert_idx_format_error(tmp_path, dims, match):
     path = tmp_path / "imgs.idx"
-    path.write_bytes(struct.pack(">iiii", 0x803, 0, -3, 5))
-    with pytest.raises(FormatError, match="negative"):
+    path.write_bytes(struct.pack(">iiii", 0x803, *dims))
+    with pytest.raises(FormatError, match=match):
         read_mnist_idx(path)
     with pytest.raises(ValueError):  # the reference reader fails open with numpy's error
         _reference_read_mnist_idx(path)
+
+
+def test_idx_negative_dimension_is_a_format_error(tmp_path):
+    _assert_idx_format_error(tmp_path, (0, -3, 5), "negative")
+
+
+def test_idx_images_too_large_for_memory_are_a_format_error(tmp_path):
+    _assert_idx_format_error(tmp_path, (0, 2**30, 2**30), "too large")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from genhash.codes import PLUS_MINUS, HashCode, pack_bits
+from genhash.codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits, unpack_bits
 from genhash.errors import InputError
 from genhash.model import decode
 from genhash.search import (
@@ -15,7 +17,7 @@ from genhash.search import (
     knn_hamming,
     knn_hamming_batch,
 )
-from genhash.search import _select_nearest
+from genhash.search import _asym_block_rows, _asym_scores, _select_nearest
 
 from conftest import random_params
 
@@ -390,6 +392,113 @@ def test_asymmetric_dimension_checks(rng):
     index, _ = _random_index(rng, 10, 12)
     with pytest.raises(InputError):
         asymmetric_ip_search(index, params, rng.normal(size=5), 3)
+
+
+def _reference_asym_scores(index, code_domain, s):
+    """The unblocked scan's scores: one product over the whole unpacked index."""
+    values = bits_to_values(unpack_bits(index.codes, index.l), code_domain)
+    return values @ s
+
+
+def _reference_asym_search(index, params, query, n):
+    s = params.U.T @ params._point(query)
+    scores = _reference_asym_scores(index, params.code_domain, s)
+    return index.external_ids(_select_nearest(-scores, n))
+
+
+def _asym_case(rng, count, l, domain, with_ids):
+    params = random_params(rng, 6, l, domain)
+    ids = rng.permutation(count) * 3 + 7 if with_ids else None
+    index = BinaryIndex(pack_bits(rng.random((count, l)) < 0.5), l, ids=ids)
+    return params, index, rng.normal(size=6)
+
+
+@pytest.mark.parametrize("l", [1, 8, 12, 64, 70, 130])
+@pytest.mark.parametrize("domain", ["zero-one", PLUS_MINUS])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_asym_blocks_score_bit_for_bit_when_rows_are_a_multiple_of_4(rng, l, domain, with_ids):
+    block = _asym_block_rows(l)
+    assert block % 4 == 0 and (l > 128 or block >= 1024)
+    # three blocks, the last one partial; a multiple of 32 rows, so that an
+    # even BLAS split of the reference product over 2, 4 or 8 threads keeps
+    # each share a multiple of 4 rows
+    count = (2 * block // 32 + 1) * 32
+    params, index, x = _asym_case(rng, count, l, domain, with_ids)
+    s = params.U.T @ x
+    scores = _asym_scores(index, domain, s)
+    assert scores.tobytes() == _reference_asym_scores(index, domain, s).tobytes()
+    for n in (0, 1, 100, count, count + 5):
+        got = asymmetric_ip_search(index, params, x, n)
+        assert np.array_equal(got, _reference_asym_search(index, params, x, n)), n
+
+
+@pytest.mark.parametrize("l", [8, 64, 70])
+@pytest.mark.parametrize("domain", ["zero-one", PLUS_MINUS])
+def test_asym_index_of_one_block_is_unchanged(rng, l, domain):
+    block = _asym_block_rows(l)
+    for count in (0, 1, 3, 150, 2001, block - 1, block, block + 3):
+        params, index, x = _asym_case(rng, count, l, domain, count % 2 == 1)
+        s = params.U.T @ x
+        scores = _asym_scores(index, domain, s)
+        assert scores.tobytes() == _reference_asym_scores(index, domain, s).tobytes()
+        for n in (0, 1, 100, count, count + 5):
+            got = asymmetric_ip_search(index, params, x, n)
+            assert np.array_equal(got, _reference_asym_search(index, params, x, n)), (count, n)
+
+
+def _valid_asym_top_n(result, scores, n, eps):
+    """The rule of the benchmark's asymmetric check: a top-n valid up to rounding eps.
+
+    No excluded code scores above the cut by more than eps, no two listed
+    scores are inverted by more than eps, and exactly equal scores come in
+    ascending position order, the smallest positions of the group at the
+    cut taken.
+    """
+    if len(result) != min(n, len(scores)) or len(np.unique(result)) != len(result):
+        return False
+    inside = scores[result]
+    cut = inside.min()
+    outside = np.ones(len(scores), dtype=bool)
+    outside[result] = False
+    if np.any(scores[outside] > cut + eps):
+        return False
+    at_cut = np.flatnonzero(scores == cut)
+    listed_at_cut = np.sort(result[inside == cut])
+    if not np.array_equal(listed_at_cut, at_cut[: len(listed_at_cut)]):
+        return False
+    a, b = inside[:-1], inside[1:]
+    return bool(np.where(a == b, result[:-1] < result[1:], a >= b - eps).all())
+
+
+@pytest.mark.parametrize("l", [12, 64, 70])
+@pytest.mark.parametrize("domain", ["zero-one", PLUS_MINUS])
+@pytest.mark.parametrize("extra", [1, 3])
+def test_asym_blocks_stay_within_rounding_when_rows_are_not_a_multiple_of_4(
+    rng, l, domain, extra
+):
+    count = 3 * _asym_block_rows(l) + extra
+    params, index, x = _asym_case(rng, count, l, domain, False)
+    s = params.U.T @ x
+    scores = _reference_asym_scores(index, domain, s)
+    eps = 1e-12 * float(np.abs(s).sum())
+    assert np.abs(_asym_scores(index, domain, s) - scores).max() <= eps
+    for n in (1, 100, count):
+        assert _valid_asym_top_n(asymmetric_ip_search(index, params, x, n), scores, n, eps), n
+
+
+@pytest.mark.parametrize("domain", ["zero-one", PLUS_MINUS])
+def test_asym_search_memory_is_bounded_by_its_block(rng, domain):
+    params, index, x = _asym_case(rng, 200_000, 64, domain, False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        asymmetric_ip_search(index, params, x, 100)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one block buffer, the scores and the selection's copies; the whole
+    # unpacked index would take 110 MB
+    assert peak < 16 * 2**20, peak
 
 
 def test_mips_inequality(rng):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode, bits_to_values
+from genhash.codes import MAX_BITS, PLUS_MINUS, ZERO_ONE, HashCode, bits_to_values
 from genhash.data_io import synth_mixture
 from genhash.errors import CapabilityError, InputError, TrainingError
 from genhash.model import (
@@ -312,7 +312,17 @@ def test_train_deterministic(rng):
 
 
 @pytest.mark.parametrize(
-    "field", [{"steps": -1}, {"bits": 0}, {"lr": 0.0}, {"seed": -1}, {"decay_horizon": 0}]
+    "field",
+    [
+        {"steps": -1},
+        {"bits": 0},
+        {"lr": 0.0},
+        {"seed": -1},
+        {"decay_horizon": 0},
+        {"bits": MAX_BITS + 1},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+    ],
 )
 def test_train_config_rejects_bad_fields(field):
     with pytest.raises(InputError):
