@@ -35,14 +35,14 @@ truth = [knn_exact_l2(db_rows, q, 10) for q in queries]
 query_codes = encode_map_batch(params, queries)
 
 hamming_report = recall_curve(
-    list(query_codes),
+    query_codes,
     lambda q, n: knn_hamming(index, HashCode(q, params.l), n),
     truth,
     k=10,
     config={"method": "hamming", "bits": params.l},
 )
 asym_report = recall_curve(
-    list(queries),
+    queries,
     lambda q, n: asymmetric_ip_search(index, params, q, n),
     truth,
     k=10,

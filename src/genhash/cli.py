@@ -126,10 +126,9 @@ def cmd_eval(args) -> int:
     if args.mode == "hamming":
         if not args.query_codes:
             raise InputError("--mode hamming requires --query-codes")
-        qcodes, qbits = data_io.read_packed_codes(args.query_codes)
+        queries, qbits = data_io.read_packed_codes(args.query_codes)
         if qbits != bits:
             raise InputError(f"query codes are {qbits}-bit but index is {bits}-bit")
-        queries = list(qcodes)
 
         def searcher(q, n):
             return search.knn_hamming(index, HashCode(q, bits), n)
@@ -137,19 +136,16 @@ def cmd_eval(args) -> int:
     else:
         if not (args.ckpt and args.queries):
             raise InputError("--mode asym requires --ckpt and --queries")
-        model, rows = _load_model_and_rows(
+        model, queries = _load_model_and_rows(
             args.ckpt, args.queries, args.queries_format, args.seed, data_io.KIND_SGH
         )
         if model.l != bits:
             raise InputError(f"checkpoint is {model.l}-bit but index is {bits}-bit")
-        queries = list(rows)
 
         def searcher(q, n):
             return search.asymmetric_ip_search(index, model, q, n)
 
-    if len(truth) != len(queries):
-        raise InputError(f"{len(truth)} truth lists for {len(queries)} queries")
-    report = evaluation.recall_curve(queries, searcher, list(truth), args.k, config=config)
+    report = evaluation.recall_curve(queries, searcher, truth, args.k, config=config)
     report.write_csv(args.out)
     return EXIT_OK
 

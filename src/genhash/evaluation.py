@@ -23,7 +23,9 @@ DEFAULT_N_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 def recall_k_at_n(retrieved, truth, k: int, n: int) -> float:
-    """|distinct ids of top-n retrieved, among top-k truth| / k."""
+    """|distinct ids of top-n retrieved, among top-k truth| / k, for n >= 0."""
+    if n < 0:
+        raise InputError("n must be >= 0")
     return float(_distinct_hits(np.asarray(retrieved)[:n], truth, k)[-1] / k)
 
 
@@ -46,7 +48,6 @@ class EvalReport:
     n_grid: tuple
     per_query: np.ndarray  # (num_queries, len(n_grid))
     curve: np.ndarray  # mean over queries per N
-    mean_recon_error: float | None = None
     config: dict = field(default_factory=dict)
 
     def write_csv(self, path):
@@ -61,32 +62,34 @@ class EvalReport:
 def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=None) -> EvalReport:
     """Mean RecallK@N over queries for each N in the grid.
 
-    searcher(query, n) must return ranked ids of length min(n, index size),
-    the same for every query; grid entries beyond it are dropped.
-    truth_lists holds one ranked ground-truth id list (length >= k) per query.
+    queries and truth_lists are arrays or any iterables, one entry per query;
+    truth_lists holds ranked ground-truth id lists of length >= k. This is
+    the one place that checks eval inputs; the counts and the grid are
+    checked before the first search. searcher(query, n) must return ranked
+    ids of length min(n, index size), the same for every query; grid entries
+    beyond it are dropped.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     queries = list(queries)
     truth_lists = list(truth_lists)
+    if len(truth_lists) != len(queries):
+        raise InputError(f"{len(truth_lists)} truth lists for {len(queries)} queries")
     if not queries:
         raise InputError("need at least one query")
-    if len(truth_lists) != len(queries):
-        raise InputError("need exactly one truth list per query")
     grid = tuple(n_grid) if n_grid is not None else DEFAULT_N_GRID
-    if not grid or min(grid) < 1:
-        raise InputError("n grid entries must be >= 1")
-    max_n = max(grid)
+    integral = (int, np.integer)
+    if not grid or any(isinstance(n, bool) or not isinstance(n, integral) or n < 1 for n in grid):
+        raise InputError("n grid entries must be integers >= 1")
 
-    rows = []
-    for q, truth in zip(queries, truth_lists):
-        ranked = np.asarray(searcher(q, max_n))
-        if rows and len(ranked) != size:
-            raise InputError(f"searcher gave {len(ranked)} ids for one query, {size} for another")
-        size = len(ranked)
-        grid = tuple(n for n in grid if n <= size) or (size,)
-        rows.append(_distinct_hits(ranked, truth, k)[list(grid)] / k)
-    per_query = np.asarray(rows, dtype=np.float64)
+    ranked = [np.asarray(searcher(q, max(grid))) for q in queries]
+    size = len(ranked[0])
+    if any(len(r) != size for r in ranked):
+        raise InputError(f"searcher gave {size} ids for one query and a different number for another")
+    grid = tuple(n for n in grid if n <= size) or (size,)
+    per_query = np.array(
+        [_distinct_hits(r, truth, k)[list(grid)] for r, truth in zip(ranked, truth_lists)]
+    ) / k
     return EvalReport(
         k=k,
         n_grid=grid,

@@ -41,9 +41,6 @@ class BinaryIndex:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
-    def code(self, i: int) -> HashCode:
-        return HashCode(self.codes[i].copy(), self.l)
-
     def external_ids(self, positions: np.ndarray) -> np.ndarray:
         return positions if self.ids is None else self.ids[positions]
 

@@ -159,13 +159,18 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     (approx) times p_k (1 - p_k), plus b_k - p_k with include_direct. The
     mean is sum_i w_i g_i / sum_i w_i; with unit weights it is bit-identical
     to the plain batch mean.
+
+    With the domain's code levels (off, on) = bits_to_values([0, 1]) and
+    code values h, the flip delta loss(h_k = on) - loss(h_k = off) is
+    (on - off) ((on + off - 2 h_k) ||u_k||^2 - 2 r . u_k) / (2 rho^2)
+    - beta_k + logit(p_k), one expression for both domains.
     """
     total = weights.sum()
     rho2 = np.exp(2.0 * params.log_rho)
     log_p = np.log(P)
     logit = log_p - np.log1p(-P)
     values = bits_to_values(bits, params.code_domain)
-    R = X - params.decode_batch(bits)
+    R = X - values @ params.U.T
 
     dU = -(R.T @ (values * weights[:, None])) / (total * rho2)
     dbeta = sigmoid(params.beta) - (weights @ bits) / total
@@ -174,20 +179,17 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
 
     s = R @ params.U  # r . u_k per bit
     usq = (params.U * params.U).sum(axis=0)
-    unbiased = estimator == ESTIMATOR_UNBIASED
-    if params.code_domain == ZERO_ONE:
-        # flip delta loss(b_k = 1) - loss(b_k = 0), or slope d(loss)/d(b_k)
-        if unbiased:
-            per_bit = ((1.0 - 2.0 * values) * usq - 2.0 * s) / (2.0 * rho2) - params.beta + logit
-        else:
-            per_bit = -s / rho2 - params.beta + logit
-    else:
-        # flip delta loss(h_k = +1) - loss(h_k = -1), or slope d(loss)/d(h_k),
-        # where the prior and posterior see b_k = (1 + h_k) / 2
-        if unbiased:
-            per_bit = (-4.0 * s - 4.0 * values * usq) / (2.0 * rho2) - params.beta + logit
-        else:
-            per_bit = -s / rho2 + 0.5 * (-params.beta + logit)
+    if estimator == ESTIMATOR_UNBIASED:
+        off, on = bits_to_values(np.array([0, 1]), params.code_domain)
+        step = on - off  # scales the (l,) and scalar factors, not a (B, l) array
+        per_bit = (
+            ((on + off - 2.0 * values) * (step * usq) - 2.0 * step * s) / (2.0 * rho2)
+            - params.beta + logit
+        )
+    elif params.code_domain == ZERO_ONE:
+        per_bit = -s / rho2 - params.beta + logit
+    else:  # the prior and posterior see b_k = (1 + h_k) / 2
+        per_bit = -s / rho2 + 0.5 * (-params.beta + logit)
     coeff = per_bit * P * (1.0 - P)
     if include_direct:
         coeff = coeff + (bits - P)

@@ -47,6 +47,10 @@ def test_recall_input_validation():
         recall_k_at_n([1], [1], 0, 1)
     with pytest.raises(InputError):
         recall_k_at_n([1], [1], 2, 1)
+    # a negative n must not slice from the end (-1 read 0.75, -3 read 0.25)
+    for n in (-1, -3):
+        with pytest.raises(InputError):
+            recall_k_at_n([1, 2, 3, 4], [1, 2, 3, 4], 4, n)
 
 
 def test_recall_invariant_to_permutation_within_window(rng):
@@ -163,8 +167,27 @@ def test_recall_curve_csv(tmp_path, rng):
 
 def test_recall_curve_requires_matching_truth(rng):
     searcher, queries, truth = _toy_search_setup(rng)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="6 truth lists for 7 queries"):
         recall_curve(queries, searcher, truth[:-1], k=10)
+
+
+@pytest.mark.parametrize("grid", [(1, 2.5), (2.0,), (True, 2), (1, np.float64(3)), ("2",), (0,), ()])
+def test_recall_curve_rejects_non_integer_grid(grid):
+    with pytest.raises(InputError, match="grid"):
+        recall_curve([0], lambda q, n: [1, 2, 3], [[1, 2, 3]], 2, n_grid=grid)
+
+
+def test_recall_curve_accepts_arrays_and_iterables(rng):
+    searcher, queries, truth = _toy_search_setup(rng)
+    words = np.stack([q.words for q in queries])
+    by_words = lambda w, n: searcher(HashCode(w, 16), n)
+    from_lists = recall_curve(queries, searcher, truth, k=10, n_grid=(1, np.int64(20), 100))
+    from_arrays = recall_curve(words, by_words, np.stack(truth), k=10, n_grid=(1, 20, 100))
+    from_iters = recall_curve(iter(words), by_words, iter(truth), k=10, n_grid=(1, 20, 100))
+    for report in (from_arrays, from_iters):
+        assert report.n_grid == from_lists.n_grid
+        assert np.array_equal(report.per_query, from_lists.per_query)
+        assert np.array_equal(report.curve, from_lists.curve)
 
 
 # ---------------------------------------------------------------------------
