@@ -10,7 +10,10 @@ PcaModel, ItqModel and the learned ModelParams share one hasher surface:
 d, l, encode_batch(X), reconstruct_batch(X) and templates(), and the input
 checks of model.Hasher. PCA has no binary code, so its encode_batch raises
 InputError. The per-sample functions wrap the batch code: ItqModel._project,
-ItqModel._decode and PcaModel.reconstruct_batch.
+ItqModel._decode and PcaModel.reconstruct_batch. ITQ encodes and
+reconstructs through model.sign_bits, one row block at a time, so a batch
+holds one block's centred rows and about 1 MB of projections beyond its
+(N, l) bools.
 """
 
 import warnings
@@ -20,7 +23,7 @@ import numpy as np
 
 from .codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits
 from .errors import InputError
-from .model import Hasher
+from .model import Hasher, sign_bits
 
 DEFAULT_ITQ_ITERATIONS = 50
 
@@ -83,7 +86,7 @@ class ItqModel(_Projection):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Sign codes of the rows of X mapped back through the scaled binary cube."""
-        return self._decode(self._project(self._matrix(X)) >= 0.0)
+        return self._decode(sign_bits(self._project, self._matrix(X), self.l))
 
     def _project(self, X) -> np.ndarray:
         """Rotated projections (X - mean) W_pca R of a (d,) point or (N, d) rows."""
@@ -197,7 +200,8 @@ def itq_encode(model: ItqModel, x) -> HashCode:
 
 
 def itq_encode_batch(model: ItqModel, X) -> np.ndarray:
-    return pack_bits(model._project(model._matrix(X)) >= 0.0)
+    """Sign codes of the rows of X as (N, ceil(l/64)) packed words."""
+    return pack_bits(sign_bits(model._project, model._matrix(X), model.l))
 
 
 def itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:

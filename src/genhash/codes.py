@@ -47,12 +47,16 @@ def check_words(words, l: int, ndim: int) -> np.ndarray:
 
 
 def pack_bits(bits) -> np.ndarray:
-    """Pack a (..., l) array of 0/1 bits into (..., ceil(l/64)) uint64 words."""
-    bits = np.asarray(bits)
-    l = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (n_words(l) * WORD_BITS,), dtype=np.uint8)
-    padded[..., :l] = bits != 0
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    """Pack a (..., l) array of bits into (..., ceil(l/64)) uint64 words.
+
+    A bit is on where the entry is nonzero (NaN on, -0.0 off). The packed
+    ceil(l/8) bytes are placed in zeroed words, so padding bits are zero.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (n_words(bits.shape[-1]) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")
 
 
 def unpack_bits(words, l: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import ItqModel, PcaModel
 from .codes import CODE_DOMAINS, check_words, n_words
 from .errors import FormatError, InputError
-from .model import ModelParams
+from .model import ModelParams, block_rows, row_blocks
 
 CHECKPOINT_MAGIC = b"GHCKPT\x00\x00"
 CHECKPOINT_VERSION = 1
@@ -214,7 +214,11 @@ def synth_mixture(n: int, d: int, n_clusters: int, spread: float, seed: int) -> 
     norms[norms == 0] = 1.0
     centers = centers / norms * (10.0 * spread)
     assignment = rng.integers(0, n_clusters, size=n)
-    rows = centers[assignment] + rng.normal(0.0, spread, size=(n, d))
+    # the noise takes its centre one row block at a time: no (n, d) gather
+    # array, and the same sums, since IEEE addition is commutative
+    rows = rng.normal(0.0, spread, size=(n, d))
+    for a, b in row_blocks(n, block_rows(d)):
+        rows[a:b] += centers[assignment[a:b]]
     return Dataset(rows, source=f"synth(n={n},d={d},clusters={n_clusters},spread={spread},seed={seed})")
 
 

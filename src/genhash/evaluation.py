@@ -66,8 +66,8 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
     truth_lists holds ranked ground-truth id lists of length >= k. This is
     the one place that checks eval inputs; the counts and the grid are
     checked before the first search. searcher(query, n) must return ranked
-    ids of length min(n, index size), the same for every query; grid entries
-    beyond it are dropped.
+    ids of length min(n, index size), the same for every query, and at
+    least one; grid entries beyond it are dropped.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -86,6 +86,8 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
     size = len(ranked[0])
     if any(len(r) != size for r in ranked):
         raise InputError(f"searcher gave {size} ids for one query and a different number for another")
+    if size == 0:
+        raise InputError("searcher gave no ids: the index is empty")
     grid = tuple(n for n in grid if n <= size) or (size,)
     per_query = np.array(
         [_distinct_hits(r, truth, k)[list(grid)] for r, truth in zip(ranked, truth_lists)]

@@ -11,8 +11,11 @@ are safe to call concurrently on shared parameters. Data points are plain
 (0, 1).
 
 Written once here: Hasher's input checks for every model, the decoder mean
-ModelParams.decode_batch, and loss_terms, the batched loss terms that
-loss_bits, code_log_q and the training step use.
+ModelParams.decode_batch, loss_terms, the batched loss terms that
+loss_bits, code_log_q and the training step use, and sign_bits, the MAP
+sign rule of every batch encoder. sign_bits projects and thresholds one
+row block (row_blocks) at a time, so encoding N rows holds N*l bools and
+about 1 MB of float64 projections, never the whole (N, l) product.
 """
 
 from dataclasses import dataclass
@@ -28,6 +31,46 @@ PROB_CLAMP = 1e-7
 
 # exhaustive enumeration over 2^l codes is refused above this length
 ENUM_MAX_BITS = 20
+
+# a row block holds about this many bytes of float64 values, l per row
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(l: int) -> int:
+    """Rows per block of l float64 values each: a multiple of 4, 2048 at l=64."""
+    return max(4, BLOCK_BYTES // (8 * l) // 4 * 4)
+
+
+def row_blocks(n: int, block: int) -> list:
+    """(start, stop) bounds of n // block nearly equal blocks over n rows.
+
+    With block a multiple of 4, each block holds a multiple of 4 rows, from
+    block to under 2 block (fewer than 2 block rows make one block), and
+    the last block also the last n mod 4 rows. A product taken block by
+    block then keeps the bytes of one product over all n rows. The BLAS
+    dgemv sums the last rows mod 4 of a call in another order, and here, as
+    in the whole product, only the last n mod 4 rows take it. No block is
+    short, because numpy computes a one-row product as a dot product and
+    OpenBLAS some products of at most 100**3 multiply-adds with a
+    small-matrix kernel, each in yet another order.
+    """
+    groups = n // 4
+    count = max(1, groups // (block // 4))
+    bounds = [4 * (groups * i // count) for i in range(count)] + [n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
+    """The (N, l) bits project(X) >= 0.0 of an (N, d) matrix (sign(0) = +1).
+
+    project maps a block of rows to their (rows, l) projections, row by
+    row. It runs on one row block at a time, so only one block of
+    projections exists at once.
+    """
+    bits = np.empty((len(X), l), dtype=bool)
+    for a, b in row_blocks(len(X), block_rows(l)):
+        np.greater_equal(project(X[a:b]), 0.0, out=bits[a:b])
+    return bits
 
 
 class Hasher:
@@ -111,7 +154,11 @@ class ModelParams(Hasher):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Decoder means of the MAP codes of the rows of X."""
-        return self.decode_batch(self._matrix(X) @ self.W >= 0.0)
+        return self.decode_batch(sign_bits(self._project, self._matrix(X), self.l))
+
+    def _project(self, X) -> np.ndarray:
+        """Encoder activations X W of (N, d) rows, as (N, l)."""
+        return X @ self.W
 
     def decode_batch(self, bits) -> np.ndarray:
         """Decoder means U h of a (..., l) array of 0/1 codes, as (..., d)."""
@@ -162,8 +209,9 @@ def encode_map(params: ModelParams, x) -> HashCode:
 
 
 def encode_map_batch(params: ModelParams, X) -> np.ndarray:
-    """MAP-encode the rows of X; returns (N, ceil(l/64)) packed words."""
-    return pack_bits(params._matrix(X) @ params.W >= 0.0)
+    """MAP-encode the rows of X, one row block at a time (sign_bits);
+    returns (N, ceil(l/64)) packed words."""
+    return pack_bits(sign_bits(params._project, params._matrix(X), params.l))
 
 
 def stochastic_neuron(p: float, xi: float) -> int:

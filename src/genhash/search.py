@@ -20,7 +20,8 @@ import numpy as np
 from .codes import MAX_BITS  # the code-length cap, also importable from here
 from .codes import HashCode, bits_to_values, check_words, unpack_bits
 from .errors import InputError
-from .model import ModelParams
+from .model import ModelParams, row_blocks
+from .model import block_rows as _asym_block_rows
 
 
 @dataclass
@@ -156,13 +157,12 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
     bits (sign-weighted under the plus-minus domain). Descending score, ties
     by ascending id.
 
-    The scores come from _asym_scores, one matrix-vector product per block
-    of rows. The BLAS dgemv sums the last N mod 4 rows of a call in another
-    order than the rest, so every block holds a multiple of 4 rows and the
-    last one takes the remainder: only the last N mod 4 rows of the index
-    take that path, as in one product over the whole index. Ties caveat:
-    a code in those last rows can score apart from an identical code
-    elsewhere by its last bit, so such ties may not break by id.
+    The scores come from _asym_scores, one matrix-vector product per row
+    block of model.row_blocks, so only the last N mod 4 rows of the index
+    take the dgemv's other summation order, as in one product over the
+    whole index. Ties caveat: a code in those last rows can score apart
+    from an identical code elsewhere by its last bit, so such ties may not
+    break by id.
     """
     _check_n(n)
     if params.l != index.l:
@@ -172,31 +172,19 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
     return index.external_ids(_select_nearest(np.negative(scores, out=scores), n))
 
 
-# a block of the asymmetric scan holds about this many bytes of float64 code values
-_ASYM_BLOCK_BYTES = 1 << 20
-
-
-def _asym_block_rows(l: int) -> int:
-    """Rows per block of the asymmetric scan: a multiple of 4, 2048 at l=64."""
-    return max(4, _ASYM_BLOCK_BYTES // (8 * l) // 4 * 4)
-
-
 def _asym_scores(index: BinaryIndex, code_domain: str, s: np.ndarray) -> np.ndarray:
     """(N,) scores values @ s, where values are the code values of each row.
 
-    Each block of rows is unpacked, mapped to its code values (those of
-    bits_to_values) in one buffer allocated per call, and multiplied by s
-    into its slice of the scores. The last block also takes a remainder of
-    fewer than 4 rows, so no call scores a lone row: numpy computes a
-    one-row product as a dot product, in yet another order.
+    Each row block (model.row_blocks) is unpacked, mapped to its code
+    values (those of bits_to_values) in one buffer allocated per call, and
+    multiplied by s into its slice of the scores.
     """
     l = index.l
-    block = _asym_block_rows(l)
-    bounds = [0, *range(block, len(index) - 3, block), len(index)]
     off, on = bits_to_values(np.array([False, True]), code_domain)
-    values = np.empty((min(block + 3, len(index)), l))
+    blocks = row_blocks(len(index), _asym_block_rows(l))
+    values = np.empty((max(b - a for a, b in blocks), l))
     scores = np.empty(len(index))
-    for a, b in zip(bounds, bounds[1:]):
+    for a, b in blocks:
         buffer = values[: b - a]
         np.copyto(buffer, unpack_bits(index.codes[a:b], l))
         if (off, on) != (0.0, 1.0):  # bits_to_values is off + b (on - off), exact

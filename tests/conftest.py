@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genhash.baselines import PcaModel, itq_fit, pca_fit
-from genhash.codes import PLUS_MINUS
+from genhash.codes import PLUS_MINUS, n_words
 from genhash.data_io import save_checkpoint
 from genhash.model import ModelParams
 
@@ -23,6 +23,16 @@ def random_params(rng, d, l, domain="zero-one", scale=1.0):
         float(rng.normal(scale=0.3)),
         domain,
     )
+
+
+def padded_pack_bits(bits):
+    """pack_bits as it was before the row-blocked encoder, verbatim: the bits
+    zero-padded to 64 per word, then packed; the reference of its rewrite."""
+    bits = np.asarray(bits)
+    l = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (n_words(l) * 64,), dtype=np.uint8)
+    padded[..., :l] = bits != 0
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
 def checkpoint_model(kind, rng):

@@ -441,6 +441,57 @@ def test_seeded_outputs_match_recorded_digests(tmp_path):
     assert _seeded_outputs(tmp_path) == SEEDED_SHA256
 
 
+def _encoded_outputs(base):
+    """sha256 of the checkpoints and `genhash encode` files of an SGH (64-bit)
+    and an ITQ (12-bit) model on seeded synth rows: 12 and 2 row blocks, the
+    last one with a remainder."""
+    data = "n=25003,d=16,clusters=8,spread=1.0,seed=61"
+    synth = ["--format", "synth", "--seed", "7"]
+    assert run("train", "--data", data, *synth, "--bits", "64", "--steps", "20",
+               "--batch", "200", "--out", base / "sgh.ckpt") == 0
+    assert run("baseline", "--data", data, *synth, "--bits", "12", "--iterations", "5",
+               "--out", base / "itq.ckpt") == 0
+    for kind in ("sgh", "itq"):
+        assert run("encode", "--ckpt", base / f"{kind}.ckpt", "--data", data, *synth,
+                   "--out", base / f"{kind}.codes") == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(base.iterdir())}
+
+
+# _encoded_outputs digests recorded before the encoders went row-blocked
+ENCODED_SHA256 = {
+    "itq.ckpt": "6d16bc002a5c1288a7207fc48faa5f9928e1608136aa2249441594e7f4ad27d4",
+    "itq.codes": "4e5a6ffd13462112737246f8fb77b4b1fddbb80f7a089d7124075d78be431e3b",
+    "sgh.ckpt": "52e2869727455bb51a5bb577152ad2210225302fff36d62a7c3837371baec4bd",
+    "sgh.codes": "44066fb837d09bbfce745f17806707dbb000044601e2506c9c2d08db11a4f6a9",
+}
+
+
+def test_encode_outputs_match_recorded_digests(tmp_path):
+    assert _encoded_outputs(tmp_path) == ENCODED_SHA256
+
+
+@pytest.mark.parametrize("mode", ["hamming", "asym"])
+def test_eval_on_an_index_with_no_codes_exits_2_and_writes_no_csv(tmp_path, mode):
+    queries = "n=2,d=8,clusters=2,spread=1.0,seed=6"
+    ckpt, codes, qcodes = tmp_path / "m.ckpt", tmp_path / "db.codes", tmp_path / "q.codes"
+    assert run("train", "--data", "n=100,d=8,clusters=2,spread=1.0", "--format", "synth",
+               "--bits", "8", "--steps", "1", "--batch", "50", "--out", ckpt) == 0
+    data_io.write_packed_codes(codes, np.zeros((0, 1), dtype=np.uint64), 8)
+    assert run("encode", "--ckpt", ckpt, "--data", queries, "--format", "synth",
+               "--out", qcodes) == 0
+    truth = tmp_path / "t.ivecs"
+    data_io.write_ivecs(truth, np.zeros((2, 3), dtype=np.int32))
+    if mode == "hamming":
+        queried = ["--query-codes", qcodes]
+    else:
+        queried = ["--mode", "asym", "--ckpt", ckpt, "--queries", queries,
+                   "--queries-format", "synth"]
+    out = tmp_path / "r.csv"
+    assert run("eval", "--codes", codes, "--truth", truth, *queried, "--k", "3",
+               "--out", out) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["hamming", "asym"])
 def test_eval_query_truth_count_mismatch_exits_2_before_any_search(tmp_path, monkeypatch, mode):
     from genhash import search

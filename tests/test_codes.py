@@ -12,6 +12,8 @@ from genhash.codes import (
 )
 from genhash.errors import InputError
 
+from conftest import padded_pack_bits
+
 
 @pytest.mark.parametrize("l", [1, 7, 63, 64, 65, 128, 130, 200])
 def test_pack_unpack_round_trip(l):
@@ -112,3 +114,11 @@ def test_pack_unpack_bitwise_equal_reference(l, lead):
     # words given as signed integers convert the same way
     signed = words[..., : n_words(l)].view(np.int64)
     assert np.array_equal(unpack_bits(signed, l), _reference_unpack_bits(signed, l))
+    # every input kind packs as the padded pack_bits did: nonzero is on,
+    # NaN on, -0.0 and +0.0 off
+    ints = rng.integers(-2, 3, size=bits.shape)
+    special = rng.choice([np.nan, -0.0, 0.0, np.inf, -np.inf, -1e-300, 5e-324], size=bits.shape)
+    for value in (bits, ints, ints.astype(np.uint8), rng.normal(size=bits.shape) * bits, special):
+        assert np.array_equal(pack_bits(value), padded_pack_bits(value)), value.dtype
+    if bits.size:  # a nested list of no rows has no bit axis
+        assert np.array_equal(pack_bits(bits.tolist()), packed)

@@ -198,6 +198,21 @@ def test_synth_mixture_cluster_spread_statistics():
         assert abs(std - spread) / spread < 0.05
 
 
+@pytest.mark.parametrize("n, d, clusters", [(1, 1, 1), (7, 3, 2), (50_003, 16, 10),
+                                             (20_003, 128, 20), (33_333, 9, 33_333)])
+def test_synth_mixture_equals_the_gather_expression(n, d, clusters):
+    """Rows are bit-identical to the one-expression form it replaced."""
+    spread, seed = 1.5, n
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    centers = rng.normal(size=(clusters, d))
+    norms = np.linalg.norm(centers, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    centers = centers / norms * (10.0 * spread)
+    assignment = rng.integers(0, clusters, size=n)
+    rows = centers[assignment] + rng.normal(0.0, spread, size=(n, d))
+    assert synth_mixture(n, d, clusters, spread, seed).rows.tobytes() == rows.tobytes()
+
+
 def test_synth_mixture_input_validation():
     with pytest.raises(InputError):
         synth_mixture(5, 4, 10, 1.0, 0)

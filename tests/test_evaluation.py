@@ -363,6 +363,12 @@ def test_write_pgm(tmp_path):
     assert raw[len(b"P5\n4 3\n255\n"):] == img.tobytes()
 
 
+def test_recall_curve_rejects_a_searcher_with_no_ids():
+    # an empty index gives no ids, and a curve needs an N of at least 1
+    with pytest.raises(InputError, match="no ids"):
+        recall_curve([0, 1], lambda q, n: np.empty(0, dtype=np.int64), [[1, 2], [1, 2]], k=2)
+
+
 def test_recall_curve_rejects_ranked_lists_of_different_lengths():
     ranked = {0: [1, 2, 3, 4, 5], 1: [1, 2]}
     with pytest.raises(InputError, match="ids"):

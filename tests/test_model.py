@@ -1,13 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genhash
+from genhash import model as model_module
+from genhash.baselines import ItqModel, itq_encode_batch
 from genhash.codes import PLUS_MINUS, ZERO_ONE, HashCode, bits_to_values
 from genhash.errors import CapabilityError, InputError
 from genhash.model import (
     ModelParams,
     PROB_CLAMP,
+    block_rows,
     code_log_q,
     decode,
     encode_logits,
@@ -20,11 +28,13 @@ from genhash.model import (
     log_marginal,
     loss,
     loss_bits,
+    row_blocks,
+    sign_bits,
     softplus,
     stochastic_neuron,
 )
 
-from conftest import random_params
+from conftest import padded_pack_bits, random_params
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +110,107 @@ def test_encode_map_batch_matches_single(rng):
     packed = encode_map_batch(params, X)
     for i, x in enumerate(X):
         assert np.array_equal(packed[i], encode_map(params, x).words)
+
+
+def test_row_blocks_are_nearly_equal_and_never_short():
+    assert block_rows(64) == 2048
+    for l in (1, 12, 64, 130, 4096):
+        block = block_rows(l)
+        assert block % 4 == 0
+        for n in (0, 1, 3, 4, 5, block - 1, block, block + 3, 2 * block - 1, 2 * block,
+                  3 * block + 1, 5 * block + 4 * 7 + 3, 100_003):
+            blocks = row_blocks(n, block)
+            sizes = [b - a for a, b in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+            assert len(blocks) == max(1, n // 4 // (block // 4))
+            assert all(size % 4 == 0 for size in sizes[:-1]) and sizes[-1] % 4 == n % 4
+            if len(blocks) > 1:
+                assert block <= min(sizes) and max(sizes) < 2 * block
+                assert max(sizes) - min(sizes) <= 4 + n % 4
+
+
+def test_sign_bits_is_project_ge_zero_across_blocks(rng):
+    l = 8
+    X = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1.0, -np.inf, np.inf], size=(3 * block_rows(l) + 1, l))
+    bits = sign_bits(lambda rows: rows, X, l)
+    assert bits.dtype == bool and np.array_equal(bits, X >= 0.0)
+    assert bits[X == 0.0].all()  # sign(+-0) = +1
+    assert sign_bits(lambda rows: rows, X[:0], l).shape == (0, l)
+
+
+def _sign_encoders(kind, rng, d, l):
+    """An SGH or ITQ model, its batch encoder, and its projection as one
+    product over all rows: the encoders' reference before row blocks."""
+    if kind == "SGH":
+        params = random_params(rng, d, l)
+        return params, encode_map_batch, lambda X: X @ params.W
+    itq = ItqModel(rng.normal(size=d), rng.normal(size=(d, l)), rng.normal(size=(l, l)), 0)
+    return itq, itq_encode_batch, itq._project
+
+
+# at the real block size, l=1 and d=128 would take a 400 MB matrix for
+# 3 blocks, so that pair runs with 64 KB blocks; the 4 KB blocks go down
+# to 4 rows at l=130
+@pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+@pytest.mark.parametrize("kind", ["SGH", "ITQ"])
+@pytest.mark.parametrize("d", [1, 9, 128])
+@pytest.mark.parametrize("l", [1, 8, 12, 64, 70, 130])
+def test_row_blocked_encoders_equal_the_whole_product(monkeypatch, rng, block_bytes, kind, d, l):
+    if block_bytes is None and (l, d) == (1, 128):
+        block_bytes = 1 << 16
+    if block_bytes is not None:
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", block_bytes)
+    block = block_rows(l)
+    counts = (0, 1, 2, 3, 4, 5, block - 1, block, block + 1, block + 3, block + 4,
+              2 * block - 1, 2 * block, 2 * block + 4, 3 * block + 1)
+    model, encode, project = _sign_encoders(kind, rng, d, l)
+    X = rng.normal(size=(max(counts), d))
+    # rows whose projections are all exactly +-0.0, at block edges: rows of
+    # +0.0 and -0.0 for SGH, rows equal to the mean for ITQ
+    for i, row in enumerate((0, block - 1, block, 2 * block + 3, len(X) - 1)):
+        X[row] = model.mean if kind == "ITQ" else np.zeros(d) * (-1) ** i
+    for n in counts:
+        words = encode(model, X[:n])
+        assert words.shape == (n, -(-l // 64))
+        assert np.array_equal(words, padded_pack_bits(project(X[:n]) >= 0.0)), n
+        # the blocks' projections keep the bytes of the whole product, so no
+        # sign can move; at l = 1 the product is a dgemv, which OpenBLAS
+        # splits at half its rows over 2 threads, and each call has its own half
+        if l > 1:
+            blocks = []
+            sign_bits(lambda rows: blocks.append(project(rows)) or blocks[-1], X[:n], l)
+            assert np.concatenate(blocks).tobytes() == project(X[:n]).tobytes(), n
+    assert (padded_pack_bits(np.ones(l)) == encode(model, X[:1])).all()
+
+
+_ENCODE_DIGEST = """
+import hashlib
+import numpy as np
+from genhash.baselines import ItqModel, itq_encode_batch
+from genhash.model import ModelParams, block_rows, encode_map_batch
+rng = np.random.default_rng(8)
+digest = hashlib.sha256()
+for l, d in ((8, 128), (12, 9), (64, 32), (70, 128), (130, 16)):
+    X = rng.normal(size=(3 * block_rows(l) + 1, d))
+    W = rng.normal(size=(d, l))
+    itq = ItqModel(rng.normal(size=d), W, rng.normal(size=(l, l)), 0)
+    digest.update(encode_map_batch(ModelParams(W, W, np.zeros(l), 0.0), X).tobytes())
+    digest.update(itq_encode_batch(itq, X).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_encoders_give_the_same_bytes_under_1_and_2_blas_threads():
+    # l = 1 is left out: see test_row_blocked_encoders_equal_the_whole_product
+    src = str(Path(genhash.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", _ENCODE_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(done.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
