@@ -177,10 +177,13 @@ def sigmoid(z):
     or e without a data-dependent branch. -|z| is taken as min(z, -z),
     which passes a NaN through with its sign and payload, so the result
     equals the two-branch form bit for bit, at +-0, +-inf and NaN too.
+    Each pass writes into one of two arrays the call allocates.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(np.minimum(z, -z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    e = np.negative(z, out=np.empty_like(z))
+    np.exp(np.minimum(z, e, out=e), out=e)
+    denom = np.add(1.0, e)
+    return np.divide(np.maximum(e, z >= 0, out=e), denom, out=e)[()]
 
 
 def softplus(z):
@@ -242,23 +245,26 @@ def decode(params: ModelParams, h: HashCode) -> np.ndarray:
     return params.decode_batch(params._bits(h))
 
 
-def loss_terms(params: ModelParams, rsq, bits, P, log_p):
+def loss_terms(params: ModelParams, rsq, bits, log_p, log_1mp):
     """Description-length terms of (..., l) float codes b, given rsq = ||x - U h||^2:
 
       ||x - U h||^2 / (2 rho^2)                  reconstruction
       (d/2) log(2 pi rho^2)                      normaliser, a scalar
       - beta.b + sum_k softplus(beta_k)          prior
-      sum_k [b_k log p_k + (1-b_k) log(1-p_k)]   posterior log q(h|x), log_p = log(P)
+      sum_k [b_k log p_k + (1-b_k) log(1-p_k)]   posterior log q(h|x)
 
-    Their sum is the loss -log p(x,h) + log q(h|x). The plus-minus domain
-    keeps b = (1+h)/2 in the prior and posterior exponents.
+    with log_p = log(p) and log_1mp = log(1 - p). Their sum is the loss
+    -log p(x,h) + log q(h|x). The plus-minus domain keeps b = (1+h)/2 in
+    the prior and posterior exponents.
     """
     rho2 = np.exp(2.0 * params.log_rho)
     recon = rsq / (2.0 * rho2)
     norm = 0.5 * params.d * np.log(2.0 * np.pi * rho2)
     prior = -(bits @ params.beta) + softplus(params.beta).sum()
     # a blend rather than a select, since a select on a random mask is branch-bound
-    posterior = (bits * log_p + (1.0 - bits) * np.log(1.0 - P)).sum(axis=-1)
+    blend = np.multiply(bits, log_p)
+    off = np.subtract(1.0, bits)
+    posterior = np.add(blend, np.multiply(off, log_1mp, out=off), out=blend).sum(axis=-1)
     return recon, norm, prior, posterior
 
 
@@ -275,7 +281,8 @@ def _code_terms(params: ModelParams, x, bits):
         raise InputError(f"codes must have {params.l} bits")
     resid = x - params.decode_batch(bits)
     p = encode_probs(params, x)
-    return loss_terms(params, (resid * resid).sum(axis=-1), bits.astype(np.float64), p, np.log(p))
+    rsq = (resid * resid).sum(axis=-1)
+    return loss_terms(params, rsq, bits.astype(np.float64), np.log(p), np.log(1.0 - p))
 
 
 def loss(params: ModelParams, h: HashCode, x) -> float:

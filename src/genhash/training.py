@@ -13,17 +13,20 @@ Both are rank-1 in x per bit. All of this mathematics lives in one batched
 kernel, _grad_kernel, which returns the weighted mean of the per-row
 gradients over rows (x, p, b) with weights w. It has three callers:
 
-  * the training step (_batch_stats): the sampled minibatch, weights 1;
-  * the public per-sample grad_decoder / grad_w_*: one row, weight 1;
+  * the training step (_batch_stats): the sampled minibatch, unit weights;
+  * the public per-sample grad_decoder / grad_w_*: one row, unit weight;
   * the enumeration expectations expected_grad_*: every code h of length l
     for one x, weighted by q(h|x). Exhaustive enumeration (small l)
     recovers the true gradient of the exact objective and is used by
     exact_grad_check.
 
-The kernel also returns two per-row terms it needs anyway: log(P), from which
-it forms the logit, and the squared residual norms ||x - U h||^2, from which
-it forms dlog_rho. The training step hands them to model.loss_terms for the
-posterior and reconstruction terms of its sampled loss.
+The kernel also returns three per-row terms it has at hand: log(P), from
+which it forms the logit, log(1 - P) of the 1 - P it weights the encoder
+estimate by, and the squared residual norms ||x - U h||^2, from which it
+forms dlog_rho. The training step hands them to model.loss_terms for the
+posterior and reconstruction terms of its sampled loss. The step's
+elementwise passes write into arrays their call allocates (out=), so a step
+allocates a few (B, l) and (B, d) arrays, not one per operation.
 
 The optimizers and exact_grad_check loop over ModelParams.BLOCKS; train has
 one abort site, for a non-finite loss or gradient.
@@ -37,13 +40,16 @@ import numpy as np
 from .codes import MAX_BITS, ZERO_ONE, HashCode, bits_to_values
 from .errors import CapabilityError, InputError, TrainingError
 from .model import (
+    BLOCK_BYTES,
     ModelParams,
+    block_rows,
     clamp_probs,
     code_log_q,
     encode_probs,
     enumerate_codes,
     exact_objective,
     loss_terms,
+    row_blocks,
     sigmoid,
 )
 
@@ -152,49 +158,71 @@ CLAMP_LOGIT = np.log((1.0 - 1e-7) / 1e-7)
 
 
 def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, include_direct: bool):
-    """Weighted-mean GradientSet over rows (x, p, b) of X, P, bits; also log(P) and ||r||^2.
+    """Weighted-mean GradientSet over rows (x, p, b) of X, P, bits; also log(P),
+    log(1 - P) and ||r||^2.
 
     Row i contributes the decoder gradients of grad_decoder and the encoder
     estimate x c^T, where c_k is the flip delta (unbiased) or the loss slope
     (approx) times p_k (1 - p_k), plus b_k - p_k with include_direct. The
-    mean is sum_i w_i g_i / sum_i w_i; with unit weights it is bit-identical
-    to the plain batch mean.
+    mean is sum_i w_i g_i / sum_i w_i. weights=None means unit weights: it
+    skips the multiplies by 1.0, which are exact, so it gives the bytes of
+    np.ones weights, which are those of the plain batch mean.
 
     With the domain's code levels (off, on) = bits_to_values([0, 1]) and
     code values h, the flip delta loss(h_k = on) - loss(h_k = off) is
     (on - off) ((on + off - 2 h_k) ||u_k||^2 - 2 r . u_k) / (2 rho^2)
     - beta_k + logit(p_k), one expression for both domains.
+
+    Each (B, l) and (B, d) pass writes into an array the call allocates
+    (out=), in the order of the plain expressions, so the bytes are theirs.
     """
+    unit = weights is None
+    if unit:
+        weights = np.ones(len(X))  # for the bit counts, exact in any order
     total = weights.sum()
     rho2 = np.exp(2.0 * params.log_rho)
     log_p = np.log(P)
-    logit = log_p - np.log1p(-P)
+    logit = np.negative(P)
+    np.subtract(log_p, np.log1p(logit, out=logit), out=logit)
     values = bits_to_values(bits, params.code_domain)
-    R = X - values @ params.U.T
+    R = values @ params.U.T
+    np.subtract(X, R, out=R)  # now the residual x - U h
 
-    dU = -(R.T @ (values * weights[:, None])) / (total * rho2)
+    dU = -(R.T @ (values if unit else values * weights[:, None])) / (total * rho2)
     dbeta = sigmoid(params.beta) - (weights @ bits) / total
-    rsq = (R * R).sum(axis=1)
-    dlog_rho = params.d - float((rsq * weights).sum() / total) / rho2
-
     s = R @ params.U  # r . u_k per bit
+    rsq = np.multiply(R, R, out=R).sum(axis=1)
+    dlog_rho = params.d - float((rsq if unit else rsq * weights).sum() / total) / rho2
+
     usq = (params.U * params.U).sum(axis=0)
     if estimator == ESTIMATOR_UNBIASED:
         off, on = bits_to_values(np.array([0, 1]), params.code_domain)
         step = on - off  # scales the (l,) and scalar factors, not a (B, l) array
-        per_bit = (
-            ((on + off - 2.0 * values) * (step * usq) - 2.0 * step * s) / (2.0 * rho2)
-            - params.beta + logit
-        )
-    elif params.code_domain == ZERO_ONE:
-        per_bit = -s / rho2 - params.beta + logit
-    else:  # the prior and posterior see b_k = (1 + h_k) / 2
-        per_bit = -s / rho2 + 0.5 * (-params.beta + logit)
-    coeff = per_bit * P * (1.0 - P)
+        per_bit = np.multiply(2.0, values)
+        np.subtract(on + off, per_bit, out=per_bit)
+        np.multiply(per_bit, step * usq, out=per_bit)
+        np.subtract(per_bit, np.multiply(2.0 * step, s, out=s), out=per_bit)
+        np.divide(per_bit, 2.0 * rho2, out=per_bit)
+        np.subtract(per_bit, params.beta, out=per_bit)
+        np.add(per_bit, logit, out=per_bit)
+    else:
+        per_bit = np.divide(np.negative(s, out=s), rho2, out=s)
+        if params.code_domain == ZERO_ONE:
+            np.subtract(per_bit, params.beta, out=per_bit)
+            np.add(per_bit, logit, out=per_bit)
+        else:  # the prior and posterior see b_k = (1 + h_k) / 2
+            np.add(-params.beta, logit, out=logit)
+            np.add(per_bit, np.multiply(0.5, logit, out=logit), out=per_bit)
+    one_minus_p = np.subtract(1.0, P)
+    coeff = np.multiply(per_bit, P, out=per_bit)
+    np.multiply(coeff, one_minus_p, out=coeff)
     if include_direct:
-        coeff = coeff + (bits - P)
-    dW = X.T @ (coeff * weights[:, None]) / total
-    return GradientSet(dW, dU, dbeta, dlog_rho), log_p, rsq
+        np.add(coeff, np.subtract(bits, P, out=logit), out=coeff)
+    if not unit:
+        np.multiply(coeff, weights[:, None], out=coeff)
+    dW = X.T @ coeff / total
+    log_1mp = np.log(one_minus_p, out=one_minus_p)
+    return GradientSet(dW, dU, dbeta, dlog_rho), log_p, log_1mp, rsq
 
 
 def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIASED,
@@ -202,7 +230,7 @@ def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIA
     P = encode_probs(params, x)[None, :]
     X = np.asarray(x, dtype=np.float64)[None, :]
     bits = params._bits(h).astype(np.float64)[None, :]
-    return _grad_kernel(params, X, P, bits, np.ones(1), estimator, include_direct)[0]
+    return _grad_kernel(params, X, P, bits, None, estimator, include_direct)[0]
 
 
 def grad_decoder(params: ModelParams, x, h: HashCode):
@@ -287,17 +315,18 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
         Z = X @ params.W
         P = clamp_probs(sigmoid(Z))
         bits = (P >= xi).astype(np.float64)
-        grads, log_p, rsq = _grad_kernel(
-            params, X, P, bits, np.ones(len(X)), estimator, include_direct
+        grads, log_p, log_1mp, rsq = _grad_kernel(
+            params, X, P, bits, None, estimator, include_direct
         )
 
         # mean sampled loss of the batch
-        recon, norm, prior, posterior = loss_terms(params, rsq, bits, P, log_p)
+        recon, norm, prior, posterior = loss_terms(params, rsq, bits, log_p, log_1mp)
         mean_loss = float(recon.mean() + norm + prior.mean() + posterior.mean())
 
         # MAP reconstruction error ||x - U h_map(x)||^2, reusing the logits
-        map_resid = X - params.decode_batch(Z >= 0.0)
-        map_err = float((map_resid * map_resid).sum(axis=1).mean())
+        map_resid = params.decode_batch(Z >= 0.0)
+        np.subtract(X, map_resid, out=map_resid)
+        map_err = float(np.multiply(map_resid, map_resid, out=map_resid).sum(axis=1).mean())
     return grads, mean_loss, map_err
 
 
@@ -342,16 +371,64 @@ class TrainingLog:
                 f.write(f"{step},{wloss!r},{wrec!r},{lr_t!r},{wall!r}\n")
 
 
+def column_std(rows: np.ndarray) -> np.ndarray:
+    """rows.std(axis=0) of an (N, d) float64 matrix, byte for byte, without
+    an (N, d) temporary.
+
+    numpy takes the column mean as rows.sum(axis=0) / N, sums the squared
+    deviations (x - mean)**2 down each column, divides by N and takes the
+    root. Its sum follows the layout. Where the column axis has the smaller
+    stride (C order, a row view such as X[::2]) it adds the rows in order;
+    the squares are formed one model.row_blocks block at a time in a buffer
+    whose row 0 carries each column's running sum, so the blocked sum adds
+    in that order. Where a column is the contiguous run (d = 1, Fortran
+    order) numpy sums it pairwise, so the squares are formed a few whole
+    columns at a time (about BLOCK_BYTES) and summed the same way.
+    """
+    n, d = rows.shape
+    mean = rows.sum(axis=0) / n
+    row_stride, col_stride = (abs(stride) for stride in rows.strides)
+    if d == 1 or 0 < row_stride < col_stride:
+        sq = np.empty(d)
+        width = max(1, BLOCK_BYTES // (8 * n))
+        for a in range(0, d, width):
+            dev = np.subtract(rows[:, a : a + width], mean[a : a + width])
+            sq[a : a + width] = np.square(dev, out=dev).sum(axis=0)
+    else:
+        bounds = row_blocks(n, block_rows(d))
+        buf = np.empty((max(b - a for a, b in bounds) + 1, d))
+        sq = np.full(d, -0.0)  # -0.0 + y is y for every y, so the first block adds from 0
+        for a, b in bounds:
+            buf[0] = sq
+            dev = buf[1 : b - a + 1]
+            np.square(np.subtract(rows[a:b], mean, out=dev), out=dev)
+            np.add.reduce(buf[: b - a + 1], axis=0, out=sq)
+    return np.sqrt(np.divide(sq, n, out=sq), out=sq)
+
+
 def init_params(rows: np.ndarray, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Seeded initialization.
 
     Encoder columns are N(0, 1/d); the codebook starts as the encoder scaled
     by the mean per-dimension data standard deviation (decoder roughly inverts
     encoder); prior logits are zero (maximum-entropy prior); log_rho is the
-    log of that same mean standard deviation.
+    log of that same mean standard deviation (1 where that mean is 0). The
+    spread comes from column_std: the column sums, then the squared
+    deviations in row blocks of about 1 MB, with no (N, d) temporary. A
+    column whose spread is not finite (NaN or inf in the rows, or values
+    too large to square) is an InputError, raised before any parameter is
+    drawn.
     """
     d = rows.shape[1]
-    data_std = float(rows.std(axis=0).mean()) if rows.shape[0] > 1 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = column_std(rows)
+    bad = np.flatnonzero(~np.isfinite(spread))
+    if bad.size:
+        raise InputError(
+            f"dataset column {bad[0]} has a non-finite spread: it holds NaN or inf, "
+            "or values too large to square"
+        )
+    data_std = float(spread.mean())
     if data_std <= 0.0:
         data_std = 1.0
     W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, config.bits))

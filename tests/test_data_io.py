@@ -29,6 +29,7 @@ from genhash.data_io import (
     write_ivecs,
     write_packed_codes,
 )
+from genhash.data_io import _CHECKPOINT_HEAD, _CODES_HEAD, _IDX_HEAD
 from genhash.errors import FormatError, InputError
 from genhash.model import ModelParams
 
@@ -940,3 +941,52 @@ def test_byte_sweep_fails_closed_and_matches_reference(tmp_path, rng, kind):
         assert main([str(arg) for arg in argv]) == _cli_exit(kind, outcome, loaded), (kind, mutated)
         seen.add(outcome)
     assert {"load", "format"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# extreme header values, which the byte sweep cannot reach: each written into
+# every header field whose type can hold it is rejected (exit 3) or loads
+# (exit 0)
+# ---------------------------------------------------------------------------
+
+_EXTREME_VALUES = (0, 1, -1, 2**30, 2**31 - 1, 2**63 - 1)
+_EXTREME_CASES = ("SGH", "ITQ", "codes-index", "codes-query", "idx", "fvecs", "ivecs")
+
+
+def _header_fields(kind):
+    """(byte offset, struct format) of each header field of a file of `kind`."""
+    if kind in ("fvecs", "ivecs"):
+        return [(0, "<i")]  # the first record's dimension prefix, which sets d
+    magic, head = {
+        "SGH": (CHECKPOINT_MAGIC, _CHECKPOINT_HEAD),
+        "ITQ": (CHECKPOINT_MAGIC, _CHECKPOINT_HEAD),
+        "codes": (CODES_MAGIC, _CODES_HEAD),
+        "idx": (IDX_IMAGE_MAGIC.to_bytes(4, "big"), _IDX_HEAD),
+    }[kind]
+    order, codes = head.format[0], head.format[1:]
+    return [(len(magic) + struct.calcsize(order + codes[:i]), order + code)
+            for i, code in enumerate(codes)]
+
+
+@pytest.mark.parametrize("case", _EXTREME_CASES)
+def test_extreme_header_values_exit_0_or_3(tmp_path, rng, case):
+    kind, _, role = case.partition("-")
+    raw, argv = _sweep_case(kind, tmp_path, rng)
+    valid, path = tmp_path / "valid", tmp_path / "extreme"
+    valid.write_bytes(raw)
+    # the codes case reads two code files: the one under test takes the
+    # mutated file, the other the valid one
+    slots = [i for i, arg in enumerate(argv) if arg is None]
+    target = slots[1] if role == "query" else slots[0]
+    argv = [path if i == target else valid if arg is None else arg for i, arg in enumerate(argv)]
+    tried = 0
+    for offset, fmt in _header_fields(kind):
+        for value in _EXTREME_VALUES:
+            try:
+                field = struct.pack(fmt, value)
+            except struct.error:  # the field's type cannot hold the value
+                continue
+            path.write_bytes(raw[:offset] + field + raw[offset + len(field) :])
+            assert main([str(arg) for arg in argv]) in (0, 3), (case, offset, fmt, value)
+            tried += 1
+    assert tried >= 5

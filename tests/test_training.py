@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -10,6 +11,7 @@ from genhash.data_io import synth_mixture
 from genhash.errors import CapabilityError, InputError, TrainingError
 from genhash.model import (
     ModelParams,
+    block_rows,
     clamp_probs,
     code_log_q,
     encode_probs,
@@ -27,17 +29,20 @@ from genhash.training import (
     ADAM_EPS,
     CLAMP_LOGIT,
     ESTIMATOR_UNBIASED,
+    ESTIMATORS,
     GradCheckReport,
     GradientSet,
     OptimizerState,
     TrainConfig,
     adam_step,
+    column_std,
     exact_grad_check,
     expected_grad_decoder,
     expected_grad_w_unbiased,
     grad_decoder,
     grad_w_approx,
     grad_w_unbiased,
+    init_params,
     lr_at,
     sgd_step,
     train,
@@ -470,7 +475,7 @@ def _batch_stats_inner(params: ModelParams, X, xi, estimator: str, include_direc
 
 
 @pytest.mark.parametrize("batch", [1, 7, 500])
-@pytest.mark.parametrize("d,l", [(5, 4), (32, 32), (16, 70)])
+@pytest.mark.parametrize("d,l", [(5, 4), (32, 32), (16, 70), (128, 64)])
 def test_batch_stats_bitwise_equals_reference(d, l, batch, rng):
     from genhash.training import _batch_stats
 
@@ -489,6 +494,77 @@ def test_batch_stats_bitwise_equals_reference(d, l, batch, rng):
                 assert np.array_equal(grads.dlog_rho, ref.dlog_rho)
                 assert np.array_equal(mean_loss, ref_loss)
                 assert np.array_equal(map_err, ref_err)
+
+
+@pytest.mark.parametrize("d,l,batch", [(9, 7, 13), (128, 64, 500)])
+@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
+def test_grad_kernel_unit_weights_equal_explicit_ones(domain, d, l, batch, rng):
+    # weights=None skips the multiplies by 1.0 and must give their bytes
+    from genhash.training import _grad_kernel
+
+    params = random_params(rng, d, l, domain)
+    X = rng.normal(size=(batch, d))
+    P = clamp_probs(sigmoid(X @ params.W))
+    bits = (P >= rng.random(P.shape)).astype(np.float64)
+    for estimator in ESTIMATORS:
+        for include_direct in (False, True):
+            grads, *terms = _grad_kernel(params, X, P, bits, None, estimator, include_direct)
+            ones = np.ones(batch)
+            want, *want_terms = _grad_kernel(params, X, P, bits, ones, estimator, include_direct)
+            for got, ref in zip(grads.blocks() + terms, want.blocks() + want_terms):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the initial spread and the dataset checks of train
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 128])
+def test_column_std_equals_numpy_std_bitwise(d, rng):
+    # C order, Fortran order and a row view: numpy sums the rows in order in
+    # the first and last, and each column pairwise in the second (and at d = 1)
+    # (heavy-tailed values, so that a sum in another order rarely rounds alike)
+    block = block_rows(d)
+    for n in (2, 3, 5, block - 1, block, block + 1, 3 * block + 1, 100_000):
+        X = rng.lognormal(0.0, 3.0, size=(2 * n, d))
+        X -= rng.uniform(0.0, 10.0, size=d)
+        for rows in (X[:n], np.asfortranarray(X[:n]), X[::2]):
+            assert column_std(rows).tobytes() == rows.std(axis=0).tobytes(), (n, rows.strides)
+
+
+def test_init_params_holds_no_row_sized_temporary():
+    rows = np.random.default_rng(3).normal(size=(200_000, 128))  # 205 MB
+    tracemalloc.start()
+    try:
+        init_params(rows, TrainConfig(steps=1, bits=64), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+class _NoDraws:
+    """An rng stand-in that fails the test if any parameter is drawn."""
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("parameters were drawn")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e200 column"])
+def test_train_rejects_a_non_finite_spread_without_warnings(bad):
+    rows = synth_mixture(200, 6, 2, 1.0, 3).rows
+    if bad == "1e200 column":
+        rows[:, 2] *= 1e200  # finite, but the squared deviations overflow
+    else:
+        rows[17, 2] = float(bad)
+    config = TrainConfig(steps=5, bits=4, batch_size=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^dataset column 2 has a non-finite spread"):
+            train(rows, config)
+        with pytest.raises(InputError, match="^dataset column 2 "):
+            init_params(rows, config, _NoDraws())
 
 
 def test_train_loss_windows_mostly_non_increasing():
