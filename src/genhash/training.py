@@ -13,8 +13,8 @@ Both are rank-1 in x per bit. All of this mathematics lives in one batched
 kernel, _grad_kernel, which returns the weighted mean of the per-row
 gradients over rows (x, p, b) with weights w. It has three callers:
 
-  * the training step (_batch_stats): the sampled minibatch, unit weights;
-  * the public per-sample grad_decoder / grad_w_*: one row, unit weight;
+  * the training step (_batch_stats): the sampled minibatch, weights 1;
+  * the public per-sample grad_decoder / grad_w_*: one row, weight 1;
   * the enumeration expectations expected_grad_*: every code h of length l
     for one x, weighted by q(h|x). Exhaustive enumeration (small l)
     recovers the true gradient of the exact objective and is used by
@@ -164,9 +164,8 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     Row i contributes the decoder gradients of grad_decoder and the encoder
     estimate x c^T, where c_k is the flip delta (unbiased) or the loss slope
     (approx) times p_k (1 - p_k), plus b_k - p_k with include_direct. The
-    mean is sum_i w_i g_i / sum_i w_i. weights=None means unit weights: it
-    skips the multiplies by 1.0, which are exact, so it gives the bytes of
-    np.ones weights, which are those of the plain batch mean.
+    mean is sum_i w_i g_i / sum_i w_i; with unit weights it is bit-identical
+    to the plain batch mean.
 
     With the domain's code levels (off, on) = bits_to_values([0, 1]) and
     code values h, the flip delta loss(h_k = on) - loss(h_k = off) is
@@ -176,9 +175,6 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     Each (B, l) and (B, d) pass writes into an array the call allocates
     (out=), in the order of the plain expressions, so the bytes are theirs.
     """
-    unit = weights is None
-    if unit:
-        weights = np.ones(len(X))  # for the bit counts, exact in any order
     total = weights.sum()
     rho2 = np.exp(2.0 * params.log_rho)
     log_p = np.log(P)
@@ -188,11 +184,11 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     R = values @ params.U.T
     np.subtract(X, R, out=R)  # now the residual x - U h
 
-    dU = -(R.T @ (values if unit else values * weights[:, None])) / (total * rho2)
+    dU = -(R.T @ (values * weights[:, None])) / (total * rho2)
     dbeta = sigmoid(params.beta) - (weights @ bits) / total
     s = R @ params.U  # r . u_k per bit
     rsq = np.multiply(R, R, out=R).sum(axis=1)
-    dlog_rho = params.d - float((rsq if unit else rsq * weights).sum() / total) / rho2
+    dlog_rho = params.d - float((rsq * weights).sum() / total) / rho2
 
     usq = (params.U * params.U).sum(axis=0)
     if estimator == ESTIMATOR_UNBIASED:
@@ -218,9 +214,7 @@ def _grad_kernel(params: ModelParams, X, P, bits, weights, estimator: str, inclu
     np.multiply(coeff, one_minus_p, out=coeff)
     if include_direct:
         np.add(coeff, np.subtract(bits, P, out=logit), out=coeff)
-    if not unit:
-        np.multiply(coeff, weights[:, None], out=coeff)
-    dW = X.T @ coeff / total
+    dW = X.T @ np.multiply(coeff, weights[:, None], out=coeff) / total
     log_1mp = np.log(one_minus_p, out=one_minus_p)
     return GradientSet(dW, dU, dbeta, dlog_rho), log_p, log_1mp, rsq
 
@@ -230,7 +224,7 @@ def _sample_grads(params: ModelParams, x, h: HashCode, estimator=ESTIMATOR_UNBIA
     P = encode_probs(params, x)[None, :]
     X = np.asarray(x, dtype=np.float64)[None, :]
     bits = params._bits(h).astype(np.float64)[None, :]
-    return _grad_kernel(params, X, P, bits, None, estimator, include_direct)[0]
+    return _grad_kernel(params, X, P, bits, np.ones(1), estimator, include_direct)[0]
 
 
 def grad_decoder(params: ModelParams, x, h: HashCode):
@@ -316,7 +310,7 @@ def _batch_stats(params: ModelParams, X, xi, estimator: str, include_direct: boo
         P = clamp_probs(sigmoid(Z))
         bits = (P >= xi).astype(np.float64)
         grads, log_p, log_1mp, rsq = _grad_kernel(
-            params, X, P, bits, None, estimator, include_direct
+            params, X, P, bits, np.ones(len(X)), estimator, include_direct
         )
 
         # mean sampled loss of the batch
@@ -383,7 +377,10 @@ def column_std(rows: np.ndarray) -> np.ndarray:
     whose row 0 carries each column's running sum, so the blocked sum adds
     in that order. Where a column is the contiguous run (d = 1, Fortran
     order) numpy sums it pairwise, so the squares are formed a few whole
-    columns at a time (about BLOCK_BYTES) and summed the same way.
+    columns at a time (about BLOCK_BYTES) and summed the same way. A column
+    cannot be split there without changing that order, so past
+    BLOCK_BYTES / 8 rows the temporary is one column of N float64s: at
+    d = 1 as large as the rows, which is numpy's own (N, d) temporary.
     """
     n, d = rows.shape
     mean = rows.sum(axis=0) / n
@@ -391,9 +388,11 @@ def column_std(rows: np.ndarray) -> np.ndarray:
     if d == 1 or 0 < row_stride < col_stride:
         sq = np.empty(d)
         width = max(1, BLOCK_BYTES // (8 * n))
+        buf = np.empty((n, min(width, d)), order="F")  # columns contiguous, as numpy's
         for a in range(0, d, width):
-            dev = np.subtract(rows[:, a : a + width], mean[a : a + width])
-            sq[a : a + width] = np.square(dev, out=dev).sum(axis=0)
+            dev = buf[:, : min(width, d - a)]
+            np.square(np.subtract(rows[:, a : a + width], mean[a : a + width], out=dev), out=dev)
+            sq[a : a + width] = dev.sum(axis=0)
     else:
         bounds = row_blocks(n, block_rows(d))
         buf = np.empty((max(b - a for a, b in bounds) + 1, d))
@@ -414,7 +413,8 @@ def init_params(rows: np.ndarray, config: TrainConfig, rng: np.random.Generator)
     encoder); prior logits are zero (maximum-entropy prior); log_rho is the
     log of that same mean standard deviation (1 where that mean is 0). The
     spread comes from column_std: the column sums, then the squared
-    deviations in row blocks of about 1 MB, with no (N, d) temporary. A
+    deviations in row blocks of about 1 MB, with no (N, d) temporary
+    (except at d = 1 and in Fortran order; see column_std). A
     column whose spread is not finite (NaN or inf in the rows, or values
     too large to square) is an InputError, raised before any parameter is
     drawn.

@@ -29,7 +29,6 @@ from genhash.training import (
     ADAM_EPS,
     CLAMP_LOGIT,
     ESTIMATOR_UNBIASED,
-    ESTIMATORS,
     GradCheckReport,
     GradientSet,
     OptimizerState,
@@ -496,25 +495,6 @@ def test_batch_stats_bitwise_equals_reference(d, l, batch, rng):
                 assert np.array_equal(map_err, ref_err)
 
 
-@pytest.mark.parametrize("d,l,batch", [(9, 7, 13), (128, 64, 500)])
-@pytest.mark.parametrize("domain", [ZERO_ONE, PLUS_MINUS])
-def test_grad_kernel_unit_weights_equal_explicit_ones(domain, d, l, batch, rng):
-    # weights=None skips the multiplies by 1.0 and must give their bytes
-    from genhash.training import _grad_kernel
-
-    params = random_params(rng, d, l, domain)
-    X = rng.normal(size=(batch, d))
-    P = clamp_probs(sigmoid(X @ params.W))
-    bits = (P >= rng.random(P.shape)).astype(np.float64)
-    for estimator in ESTIMATORS:
-        for include_direct in (False, True):
-            grads, *terms = _grad_kernel(params, X, P, bits, None, estimator, include_direct)
-            ones = np.ones(batch)
-            want, *want_terms = _grad_kernel(params, X, P, bits, ones, estimator, include_direct)
-            for got, ref in zip(grads.blocks() + terms, want.blocks() + want_terms):
-                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # the initial spread and the dataset checks of train
 # ---------------------------------------------------------------------------
@@ -533,15 +513,24 @@ def test_column_std_equals_numpy_std_bitwise(d, rng):
             assert column_std(rows).tobytes() == rows.std(axis=0).tobytes(), (n, rows.strides)
 
 
-def test_init_params_holds_no_row_sized_temporary():
-    rows = np.random.default_rng(3).normal(size=(200_000, 128))  # 205 MB
+@pytest.mark.parametrize(
+    "d,order,bound",
+    [
+        (128, "C", 3 * 2**20),  # rows summed in order: row blocks of about 1 MB (parent: 205 MB)
+        # columns summed pairwise are not split: one column of N float64s
+        (1, "C", 8 * 200_000 + 2**16),
+        (16, "F", 8 * 200_000 + 2**16),
+    ],
+)
+def test_init_params_temporary_is_one_row_block_or_one_column(d, order, bound):
+    rows = np.random.default_rng(3).normal(size=(200_000, d)).copy(order=order)
     tracemalloc.start()
     try:
         init_params(rows, TrainConfig(steps=1, bits=64), np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < bound
 
 
 class _NoDraws:
