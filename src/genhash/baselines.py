@@ -34,6 +34,9 @@ RANK_RTOL = 1e-10
 class _Projection(Hasher):
     """What both baselines share: a data mean and (d, l) principal directions W_pca."""
 
+    def __post_init__(self):
+        self._check()
+
     @property
     def d(self) -> int:
         return self.W_pca.shape[0]
@@ -49,6 +52,11 @@ class PcaModel(_Projection):
 
     mean: np.ndarray
     W_pca: np.ndarray
+
+    def _check(self):
+        """d >= 1 and l >= 1; PCA has no codes, so l has no code-length cap."""
+        if self.d < 1 or self.l < 1:
+            raise InputError(f"PCA needs d, l >= 1, got d={self.d}, l={self.l}")
 
     def encode_batch(self, X) -> np.ndarray:
         raise InputError("PCA models do not define an encoder")
@@ -80,6 +88,11 @@ class ItqModel(_Projection):
     scale: np.ndarray = field(default_factory=lambda: np.zeros(0))
     quant_losses: list = field(default_factory=list)
     rank_ok: bool = True
+
+    def _check(self):
+        super()._check()
+        if self.iterations < 0:
+            raise InputError(f"iterations must be >= 0, got {self.iterations}")
 
     def encode_batch(self, X) -> np.ndarray:
         return itq_encode_batch(self, X)
@@ -153,8 +166,6 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
     exact minimizer, so the recorded quantization loss never increases.
     """
     rows = _rows(dataset)
-    if iterations < 0:
-        raise InputError("iterations must be >= 0")
     requested = l
     mean, W_pca = pca_fit(rows, l)
     rank = W_pca.shape[1]

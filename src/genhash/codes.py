@@ -5,7 +5,8 @@ little-endian bit order: bit k lives in word k//64 at position k%64, and
 padding bits beyond l in the last word are always zero; the words are the
 np.packbits bytes (little bit order) viewed as little-endian uint64.
 check_words is the one rule for valid words, shared by HashCode, the
-search index and queries, and the code-file writer and reader.
+search index and queries, and the code-file writer and reader; its length
+rule, check_length, also bounds every model's and training run's l.
 
 Bit value 1 means the latent is "on". bits_to_values maps bits to code
 values: the bits themselves under the "zero-one" domain; under "plus-minus"
@@ -32,11 +33,17 @@ def n_words(l: int) -> int:
     return (l + WORD_BITS - 1) // WORD_BITS
 
 
-def check_words(words, l: int, ndim: int) -> np.ndarray:
-    """The ndim-D words of l-bit codes as contiguous uint64, or InputError:
-    1 <= l <= MAX_BITS, the last axis holds n_words(l) words, padding bits zero."""
+def check_length(l: int) -> int:
+    """l, or InputError unless 1 <= l <= MAX_BITS: the rule for every code length."""
     if not 1 <= l <= MAX_BITS:
         raise InputError(f"code length must lie in [1, {MAX_BITS}], got {l}")
+    return l
+
+
+def check_words(words, l: int, ndim: int) -> np.ndarray:
+    """The ndim-D words of l-bit codes as contiguous uint64, or InputError:
+    check_length(l), the last axis holds n_words(l) words, padding bits zero."""
+    check_length(l)
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != ndim or words.shape[-1] != n_words(l):
         raise InputError(f"{l}-bit codes need {ndim}-D words, {n_words(l)} each: {words.shape}")
@@ -62,17 +69,18 @@ def pack_bits(bits) -> np.ndarray:
 def unpack_bits(words, l: int) -> np.ndarray:
     """Inverse of pack_bits; returns a (..., l) boolean array."""
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :l].astype(bool)
+    return np.unpackbits(as_bytes, axis=-1, count=l, bitorder="little").view(bool)
 
 
 def bits_to_values(bits, code_domain: str) -> np.ndarray:
-    """Map 0/1 bits to code values: identity for zero-one, {-1,+1} for plus-minus."""
-    bits = np.asarray(bits)
-    if code_domain == ZERO_ONE:
-        return bits.astype(np.float64)
+    """Map 0/1 bits to float64 code values: b for zero-one, 2 b - 1 for plus-minus."""
+    if code_domain not in CODE_DOMAINS:
+        raise InputError(f"unknown code domain: {code_domain!r}")
+    values = np.asarray(bits).astype(np.float64)
     if code_domain == PLUS_MINUS:
-        return 2.0 * bits - 1.0
-    raise InputError(f"unknown code domain: {code_domain!r}")
+        values *= 2.0
+        values -= 1.0
+    return values
 
 
 @dataclass(eq=False)

@@ -62,7 +62,9 @@ class Dataset:
         self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2:
             raise InputError("dataset rows must form a (N, d) matrix")
-        if self.rows.size and not np.all(np.isfinite(self.rows)):
+        # one row block at a time, so no (N, d) bools; block_rows needs d >= 1
+        blocks = row_blocks(self.n, block_rows(self.d)) if self.rows.size else []
+        if not all(np.isfinite(self.rows[a:b]).all() for a, b in blocks):
             raise InputError("dataset contains non-finite values")
 
     def __array__(self, dtype=None, copy=None):
@@ -184,6 +186,8 @@ def read_mnist_idx(path) -> Dataset:
     (count, rows_, cols), body = _read_headed(path, magic, _IDX_HEAD, "IDX image file")
     if min(count, rows_, cols) < 0:
         raise FormatError(f"{path}: negative IDX dimension in {count}x{rows_}x{cols}")
+    if rows_ * cols == 0:  # as a vecs d >= 1: an image has at least one pixel
+        raise FormatError(f"{path}: {rows_}x{cols}-pixel images hold no pixels")
     if rows_ * cols > np.iinfo(np.intp).max // 8:  # over numpy's size limit for a float64 row
         raise FormatError(f"{path}: {rows_}x{cols}-pixel images are too large")
     if len(body) != count * rows_ * cols:
@@ -257,6 +261,7 @@ def save_checkpoint(path, model, center_mean=None):
     kind = next((k for k, (_, cls, _) in _LAYOUTS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
+    model._check()
     d, l = model.d, model.l
     mean = np.zeros(d) if center_mean is None else center_mean
     values = {"centred": center_mean is not None, "center_mean": mean, **vars(model)}
@@ -317,7 +322,10 @@ def load_checkpoint(path, expect_kind=None):
     elif kind == KIND_ITQ:
         values["iterations"] = int(extra)
     centred, mean = values.pop("centred", 0), values.pop("center_mean", None)
-    return _LAYOUTS[kind][1](**values), (mean if centred else None)
+    try:
+        return _LAYOUTS[kind][1](**values), (mean if centred else None)
+    except InputError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

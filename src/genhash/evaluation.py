@@ -134,12 +134,9 @@ def reconstruction_grid(params, samples, image_shape) -> np.ndarray:
     n = samples.shape[0]
     template_rows = -(-templates.shape[0] // n)
     grid = np.zeros(((2 + template_rows) * h, n * w), dtype=np.uint8)
-    for col, (orig, rec) in enumerate(zip(samples, recon)):
-        grid[0:h, col * w:(col + 1) * w] = _normalize_tile(orig.reshape(h, w))
-        grid[h:2 * h, col * w:(col + 1) * w] = _normalize_tile(rec.reshape(h, w))
-    for i, tmpl in enumerate(templates):
-        r, c = 2 + i // n, i % n
-        grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = _normalize_tile(tmpl.reshape(h, w))
+    for i, tile in enumerate([*samples, *recon, *templates]):
+        r, c = divmod(i, n)
+        grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = _normalize_tile(tile.reshape(h, w))
     return grid
 
 

@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, pack_bits
+from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, check_length, pack_bits
 from .errors import CapabilityError, InputError
 
 # probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before any log
@@ -76,6 +76,13 @@ def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
 class Hasher:
     """Input checks shared by every model with input width d and code length l."""
 
+    def _check(self):
+        """InputError unless d >= 1 and check_length(l) holds. Each model runs
+        it when built and save_checkpoint before it writes."""
+        if self.d < 1:
+            raise InputError(f"input width d must be >= 1, got {self.d}")
+        check_length(self.l)
+
     def _matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d:
@@ -120,6 +127,7 @@ class ModelParams(Hasher):
         self.log_rho = float(self.log_rho)
         if self.W.ndim != 2:
             raise InputError("W must be a (d, l) matrix")
+        self._check()
         if self.U.shape != self.W.shape:
             raise InputError(f"U shape {self.U.shape} != W shape {self.W.shape}")
         if self.beta.shape != (self.W.shape[1],):

@@ -8,9 +8,10 @@ cut, and sorts only those n candidates. The float scans reject non-finite
 queries in _finite. Indexes are immutable after construction and queries
 are pure, so batch queries may run in parallel over the query axis.
 
-The asymmetric scan (_asym_scores) scores the index in blocks of rows
-through one reused float64 buffer of about 1 MB, so a query never holds
-more than one block of unpacked code values; see asymmetric_ip_search.
+The asymmetric scan (_asym_scores) maps one row block of codes at a time to
+their code values with bits_to_values (about 1 MB of float64), so a query
+never holds more than one block of unpacked code values; see
+asymmetric_ip_search.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,7 @@ import numpy as np
 from .codes import MAX_BITS  # the code-length cap, also importable from here
 from .codes import HashCode, bits_to_values, check_words, unpack_bits
 from .errors import InputError
-from .model import ModelParams, row_blocks
-from .model import block_rows as _asym_block_rows
+from .model import ModelParams, block_rows, row_blocks
 
 
 @dataclass
@@ -108,10 +108,7 @@ def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.nda
 
 def knn_exact_l2(dataset, query, k: int) -> np.ndarray:
     """Brute-force squared-Euclidean top-k, ascending distance, ties by id."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise InputError("query dimension does not match dataset")
-    return knn_exact_l2_batch(dataset, query[None, :], k)[0]
+    return knn_exact_l2_batch(dataset, np.asarray(query, dtype=np.float64)[None], k)[0]
 
 
 def knn_exact_l2_batch(dataset, queries, k: int) -> np.ndarray:
@@ -121,11 +118,7 @@ def knn_exact_l2_batch(dataset, queries, k: int) -> np.ndarray:
     own matrix-vector product, so every list is bit-identical to a
     knn_exact_l2 call on that query.
     """
-    _check_n(k)
-    rows = np.asarray(dataset, dtype=np.float64)
-    queries = _finite(np.asarray(queries, dtype=np.float64))
-    if rows.ndim != 2 or queries.ndim != 2 or queries.shape[1] != rows.shape[1]:
-        raise InputError("query dimension does not match dataset")
+    rows, queries = _check_float_scan(dataset, queries, k)
     norms = (rows * rows).sum(axis=1)
     out = np.empty((len(queries), min(k, len(rows))), dtype=np.int64)
     for row, query in zip(out, queries):
@@ -135,12 +128,19 @@ def knn_exact_l2_batch(dataset, queries, k: int) -> np.ndarray:
 
 def knn_exact_ip(dataset, query, k: int) -> np.ndarray:
     """Brute-force inner-product top-k, descending score, ties by id."""
+    rows, (query,) = _check_float_scan(dataset, np.asarray(query, dtype=np.float64)[None], k)
+    return _select_nearest(-(rows @ query), k)
+
+
+def _check_float_scan(dataset, queries, k: int):
+    """The input check of the exact scans: (rows, queries) as float64 (N, d)
+    and finite (Q, d) matrices, or InputError."""
     _check_n(k)
     rows = np.asarray(dataset, dtype=np.float64)
-    query = _finite(np.asarray(query, dtype=np.float64))
-    if rows.ndim != 2 or query.shape != (rows.shape[1],):
+    queries = _finite(np.asarray(queries, dtype=np.float64))
+    if rows.ndim != 2 or queries.ndim != 2 or queries.shape[1] != rows.shape[1]:
         raise InputError("query dimension does not match dataset")
-    return _select_nearest(-(rows @ query), k)
+    return rows, queries
 
 
 def _finite(queries: np.ndarray) -> np.ndarray:
@@ -173,22 +173,10 @@ def asymmetric_ip_search(index: BinaryIndex, params: ModelParams, query, n: int)
 
 
 def _asym_scores(index: BinaryIndex, code_domain: str, s: np.ndarray) -> np.ndarray:
-    """(N,) scores values @ s, where values are the code values of each row.
-
-    Each row block (model.row_blocks) is unpacked, mapped to its code
-    values (those of bits_to_values) in one buffer allocated per call, and
-    multiplied by s into its slice of the scores.
-    """
-    l = index.l
-    off, on = bits_to_values(np.array([False, True]), code_domain)
-    blocks = row_blocks(len(index), _asym_block_rows(l))
-    values = np.empty((max(b - a for a, b in blocks), l))
-    scores = np.empty(len(index))
-    for a, b in blocks:
-        buffer = values[: b - a]
-        np.copyto(buffer, unpack_bits(index.codes[a:b], l))
-        if (off, on) != (0.0, 1.0):  # bits_to_values is off + b (on - off), exact
-            buffer *= on - off
-            buffer += off
-        np.matmul(buffer, s, out=scores[a:b])
+    """(N,) scores values @ s, where values = bits_to_values(bits, code_domain)
+    of each row, taken one row block (model.row_blocks) at a time."""
+    l, scores = index.l, np.empty(len(index))
+    for a, b in row_blocks(len(index), block_rows(l)):
+        values = bits_to_values(unpack_bits(index.codes[a:b], l), code_domain)
+        np.matmul(values, s, out=scores[a:b])
     return scores

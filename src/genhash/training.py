@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_BITS, ZERO_ONE, HashCode, bits_to_values
+from .codes import ZERO_ONE, HashCode, bits_to_values, check_length
 from .errors import CapabilityError, InputError, TrainingError
 from .model import (
     BLOCK_BYTES,
@@ -90,8 +90,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise InputError("steps must be >= 0")
-        if not 1 <= self.bits <= MAX_BITS:
-            raise InputError(f"bits must lie in [1, {MAX_BITS}]")
+        check_length(self.bits)
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
         if not 0 < self.lr < np.inf:  # also false for NaN
@@ -446,8 +445,8 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
     gradient aborts with a reference to the last window-boundary snapshot.
     """
     rows = np.asarray(dataset, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise InputError("dataset must be a non-empty (N, d) matrix")
+    if rows.ndim != 2 or rows.size == 0:
+        raise InputError(f"dataset must be a non-empty (N, d) matrix with d >= 1, got {rows.shape}")
     n = rows.shape[0]
     if config.batch_size > n:
         raise InputError(f"batch_size {config.batch_size} exceeds dataset size {n}")

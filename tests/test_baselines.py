@@ -290,3 +290,8 @@ def test_per_sample_functions_match_reference(rng):
 def test_itq_requires_l_at_most_d(rng):
     with pytest.raises(InputError):
         itq_fit(rng.normal(size=(20, 3)), 4)
+
+
+def test_itq_fit_rejects_negative_iterations(rng):
+    with pytest.raises(InputError, match="iterations must be >= 0"):
+        itq_fit(rng.normal(size=(20, 3)), 2, iterations=-1)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,23 @@ def test_dataset_converts_to_its_rows():
     assert mean_recon_error(model, ds) == mean_recon_error(model, ds.rows)
 
 
+def test_dataset_finiteness_check_is_bounded_by_its_block(rng):
+    rows = rng.normal(size=(200_000, 128))
+    tracemalloc.start()
+    try:
+        Dataset(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row block of bools; the whole (N, d) bool array would take 25.6 MB
+    assert peak < 4 * 2**20, peak
+    rows[123_456, 7] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        Dataset(rows)
+    for shape in ((0, 3), (4, 0), (0, 0)):
+        assert Dataset(np.zeros(shape)).rows.shape == shape
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -378,8 +396,62 @@ def test_save_checkpoint_rejects_wrong_block_shape(tmp_path, rng, kind):
     assert not path.exists()
 
 
+# checkpoints whose header sizes no model takes: d = 0, l = 0, l over the code
+# cap, or a negative ITQ iteration count. The writer refuses them, so they
+# are written by hand: header, a zero payload of the size it names, checksum.
+_BAD_SIZES = [
+    (KIND_SGH, 3, 0, 0),
+    (KIND_SGH, 0, 2, 0),
+    (KIND_SGH, 3, MAX_BITS + 1, 0),
+    (KIND_ITQ, 3, 0, 0),
+    (KIND_ITQ, 0, 2, 0),
+    (KIND_ITQ, 3, 2, -1),
+    (KIND_PCA, 3, 0, 0),
+    (KIND_PCA, 0, 2, 0),
+]
+
+
+def _zero_model(kind, d, l, extra):
+    """Build the model of `kind` with all-zero blocks of sizes (d, l)."""
+    if kind == KIND_SGH:
+        return ModelParams(np.zeros((d, l)), np.zeros((d, l)), np.zeros(l), 0.0)
+    if kind == KIND_ITQ:
+        return ItqModel(np.zeros(d), np.zeros((d, l)), np.zeros((l, l)), extra, np.zeros(l))
+    return PcaModel(np.zeros(d), np.zeros((d, l)))
+
+
+@pytest.mark.parametrize("kind,d,l,extra", _BAD_SIZES)
+def test_checkpoint_sizes_no_model_takes_fail_closed(tmp_path, kind, d, l, extra):
+    with pytest.raises(InputError):
+        _zero_model(kind, d, l, extra)
+    path = tmp_path / "bad.ckpt"
+    payload = bytes(_payload_size(kind, d, l))
+    header = _CHECKPOINT_HEAD.pack(CHECKPOINT_VERSION, _KIND_TAGS[kind], 0, d, l, extra)
+    path.write_bytes(CHECKPOINT_MAGIC + header + payload + struct.pack("<Q", fnv1a_64(payload)))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    data = ["--data", "n=6,d=4,clusters=2,spread=1.0", "--format", "synth"]
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["encode", "--ckpt", str(path), *data, *out]) == 3
+    assert main(["reconstruct", "--ckpt", str(path), *data, "--shape", "2x2", *out]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_save_checkpoint_rechecks_sizes_changed_after_building(tmp_path, rng):
+    itq = checkpoint_model("ITQ", rng)
+    itq.iterations = -1
+    sgh = checkpoint_model("SGH", rng)
+    sgh.W = sgh.U = np.zeros((6, 0))
+    for model in (itq, sgh):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(InputError):
+            save_checkpoint(path, model)
+        assert not path.exists()
+
+
 # The checkpoint writer and reader as written before the per-kind layout
-# table, kept verbatim (bar the two public names) as the byte-level reference.
+# table, kept verbatim (bar the two public names and the reader's rule that
+# an ITQ iteration count is >= 0) as the byte-level reference.
 
 _KIND_TAGS = {KIND_SGH: 0, KIND_ITQ: 1, KIND_PCA: 2}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
@@ -502,6 +574,8 @@ def _reference_load_checkpoint(path, expect_kind=None):
         params = ModelParams(W, U, beta, float(log_rho[0]), CODE_DOMAINS[domain])
         return params, (mean if centered else None)
     if kind == KIND_ITQ:
+        if extra < 0:
+            raise FormatError(f"{path}: iterations must be >= 0, got {extra}")
         mean, buf = _take(buf, d, (d,))
         W_pca, buf = _take(buf, d * l, (d, l))
         R, buf = _take(buf, l * l, (l, l))
@@ -844,6 +918,18 @@ def test_idx_negative_dimension_is_a_format_error(tmp_path):
 
 def test_idx_images_too_large_for_memory_are_a_format_error(tmp_path):
     _assert_idx_format_error(tmp_path, (0, 2**30, 2**30), "too large")
+
+
+@pytest.mark.parametrize("dims", [(10, 0, 5), (10, 5, 0), (0, 0, 0)])
+def test_idx_images_without_pixels_are_a_format_error(tmp_path, dims):
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(struct.pack(">iiii", 0x803, *dims))
+    with pytest.raises(FormatError, match="no pixels"):
+        read_mnist_idx(path)
+    argv = ["train", "--data", str(path), "--format", "idx", "--bits", "4", "--steps", "3",
+            "--batch", "5", "--out", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 3
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

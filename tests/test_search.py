@@ -5,6 +5,7 @@ import pytest
 
 from genhash.codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits, unpack_bits
 from genhash.errors import InputError
+from genhash.model import block_rows as _asym_block_rows
 from genhash.model import decode
 from genhash.search import (
     BinaryIndex,
@@ -17,7 +18,7 @@ from genhash.search import (
     knn_hamming,
     knn_hamming_batch,
 )
-from genhash.search import _asym_block_rows, _asym_scores, _select_nearest
+from genhash.search import _asym_scores, _select_nearest
 
 from conftest import random_params
 
@@ -351,6 +352,14 @@ def test_select_nearest_matches_float_reference(kind, rng):
 def test_knn_exact_dimension_check(rng):
     with pytest.raises(InputError):
         knn_exact_l2(rng.normal(size=(5, 3)), rng.normal(size=4), 2)
+
+
+@pytest.mark.parametrize("search", [knn_exact_l2, knn_exact_ip])
+def test_knn_exact_rejects_a_query_that_is_not_one_row(rng, search):
+    X = rng.normal(size=(5, 1))
+    for query in (np.float64(0.5), np.array(0.5), X[:1]):
+        with pytest.raises(InputError, match="query dimension does not match dataset"):
+            search(X, query, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,12 @@ def test_train_rejects_a_non_finite_spread_without_warnings(bad):
             init_params(rows, config, _NoDraws())
 
 
+@pytest.mark.parametrize("shape", [(10, 0), (0, 4), (0, 0)])
+def test_train_rejects_data_without_rows_or_columns(shape):
+    with pytest.raises(InputError, match="non-empty"):
+        train(np.zeros(shape), TrainConfig(steps=1, bits=2, batch_size=2))
+
+
 def test_train_loss_windows_mostly_non_increasing():
     data = synth_mixture(2000, 16, 5, 1.0, 21)
     rows = data.centered()
