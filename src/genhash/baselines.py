@@ -10,10 +10,16 @@ PcaModel, ItqModel and the learned ModelParams share one hasher surface:
 d, l, encode_batch(X), reconstruct_batch(X) and templates(), and the input
 checks of model.Hasher. PCA has no binary code, so its encode_batch raises
 InputError. The per-sample functions wrap the batch code: ItqModel._project,
-ItqModel._decode and PcaModel.reconstruct_batch. ITQ encodes and
-reconstructs through model.sign_bits, one row block at a time, so a batch
-holds one block's centred rows and about 1 MB of projections beyond its
-(N, l) bools.
+ItqModel._decode and PcaModel.reconstruct_batch. ITQ encodes through
+model.sign_words and reconstructs through model.sign_bits, one row block
+at a time. Beyond its packed words (encode) or its (N, l) bools
+(reconstruct), a batch holds two of one block's arrays at once: the
+centred rows and their projections, then the projections and their
+rotation (about 1 MB each at d = l).
+
+itq_fit holds the (N, l) projections V, one float64 (N, l) work buffer
+and two (N, l) one-byte arrays, the next signs as bools and the current
+ones as int8, during its alternation: about 2.25 times V.
 """
 
 import warnings
@@ -21,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits
+from .codes import PLUS_MINUS, HashCode, bits_to_values
+from .codes import pack_bits  # a patch point in bench/timing.py PATCH_POINTS
 from .errors import InputError
-from .model import Hasher, sign_bits
+from .model import Hasher, sign_bits, sign_words
 
 DEFAULT_ITQ_ITERATIONS = 50
 
@@ -122,13 +129,22 @@ def _rows(dataset) -> np.ndarray:
     return rows
 
 
+def _check_finite(stat: np.ndarray, what: str):
+    """InputError naming the first data column whose (d,) or (d, d) statistic is not finite."""
+    bad = np.flatnonzero(~np.isfinite(stat.reshape(len(stat), -1)).all(axis=1))
+    if bad.size:
+        raise InputError(f"dataset column {bad[0]} has a non-finite {what}")
+
+
 def pca_fit(dataset, l: int):
     """Top-l principal directions of the mean-centered data.
 
     Returns (mean, W_pca) with eigenvalue-descending orthonormal columns;
     the largest-magnitude entry of each column is made positive so the
     decomposition is sign-deterministic. If the covariance has rank < l the
-    available rank is returned with a warning.
+    available rank (at least 1) is returned with a warning. A column whose
+    mean or covariance is not finite (NaN or inf in the rows, or values too
+    large to square) is an InputError; both checks cost O(d^2), not O(N d).
     """
     rows = _rows(dataset)
     n, d = rows.shape
@@ -136,9 +152,12 @@ def pca_fit(dataset, l: int):
         raise InputError("need at least 2 samples to fit principal directions")
     if l < 1 or l > d:
         raise InputError(f"l must lie in [1, {d}], got {l}")
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        _check_finite(mean, "mean: it holds NaN or inf")
+        centered = rows - mean
+        cov = centered.T @ centered / (n - 1)
+    _check_finite(cov, "covariance: its values are too large to square")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
@@ -146,7 +165,7 @@ def pca_fit(dataset, l: int):
     rank = int((eigvals > max(eigvals[0], 0.0) * RANK_RTOL).sum())
     if rank < l:
         warnings.warn(
-            f"covariance rank {rank} below requested {l} components; returning {rank}",
+            f"covariance rank {rank} below requested {l} components; returning {max(rank, 1)}",
             stacklevel=2,
         )
         l = max(rank, 1)
@@ -177,19 +196,24 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
         q, r = np.linalg.qr(rng.normal(size=(rank, rank)))
         R = q * np.sign(np.diag(r))
 
-    # V @ R for the current R serves the loss, the next sign step and scale;
-    # the signs come from arithmetic on the mask, since a select on a random
-    # mask is branch-bound and these are the same values
+    # one float64 (N, rank) buffer holds B, then V R, then the loss terms;
+    # on holds the next signs and signs the current ones as int8 +-1, so
+    # V R - signs is one rounding and squares to (B - V R)^2 exactly
     losses = []
-    VR = V @ R
+    buf = np.matmul(V, R)
+    on = buf >= 0.0
+    signs = np.empty(buf.shape, dtype=np.int8)
     for _ in range(iterations):
-        B = (VR >= 0.0) * 2.0 - 1.0
-        s_hat, _, s_t = np.linalg.svd(B.T @ V)
+        np.subtract(np.multiply(on, np.int8(2), out=signs), 1, out=signs)
+        np.copyto(buf, signs)
+        s_hat, _, s_t = np.linalg.svd(buf.T @ V)
         R = s_t.T @ s_hat.T
-        VR = V @ R
-        losses.append(float(((B - VR) ** 2).sum()))
+        np.matmul(V, R, out=buf)
+        np.greater_equal(buf, 0.0, out=on)
+        np.subtract(buf, signs, out=buf)
+        losses.append(float(np.square(buf, out=buf).sum()))
 
-    scale = np.abs(VR).mean(axis=0)
+    scale = np.abs(np.matmul(V, R, out=buf), out=buf).mean(axis=0)
     return ItqModel(
         mean=mean,
         W_pca=W_pca,
@@ -211,8 +235,9 @@ def itq_encode(model: ItqModel, x) -> HashCode:
 
 
 def itq_encode_batch(model: ItqModel, X) -> np.ndarray:
-    """Sign codes of the rows of X as (N, ceil(l/64)) packed words."""
-    return pack_bits(sign_bits(model._project, model._matrix(X), model.l))
+    """Sign codes of the rows of X as (N, ceil(l/64)) packed words, packed
+    one row block at a time (model.sign_words)."""
+    return sign_words(model._project, model._matrix(X), model.l)
 
 
 def itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:

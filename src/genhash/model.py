@@ -12,10 +12,13 @@ are safe to call concurrently on shared parameters. Data points are plain
 
 Written once here: Hasher's input checks for every model, the decoder mean
 ModelParams.decode_batch, loss_terms, the batched loss terms that
-loss_bits, code_log_q and the training step use, and sign_bits, the MAP
-sign rule of every batch encoder. sign_bits projects and thresholds one
-row block (row_blocks) at a time, so encoding N rows holds N*l bools and
-about 1 MB of float64 projections, never the whole (N, l) product.
+loss_bits, code_log_q and the training step use, and sign_blocks, the MAP
+sign rule of every batch encoder. sign_blocks projects and thresholds one
+row block (row_blocks) at a time. The encoders pack each block into the
+output words as it comes (sign_words), so encoding N rows holds the packed
+words and one block: about 1 MB of float64 projections and its bools,
+never the whole (N, l) product or N*l bools. reconstruct_batch gathers the
+blocks' bits into one (N, l) bool array (sign_bits).
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, check_length, pack_bits
+from .codes import CODE_DOMAINS, ZERO_ONE, HashCode, bits_to_values, check_length, n_words, pack_bits
 from .errors import CapabilityError, InputError
 
 # probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before any log
@@ -60,17 +63,33 @@ def row_blocks(n: int, block: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
-    """The (N, l) bits project(X) >= 0.0 of an (N, d) matrix (sign(0) = +1).
+def sign_blocks(project, X: np.ndarray, l: int):
+    """Yield (a, b, project(X[a:b]) >= 0.0) for each row block of an (N, d)
+    matrix: the MAP sign rule of every encoder (sign(0) = +1).
 
     project maps a block of rows to their (rows, l) projections, row by
     row. It runs on one row block at a time, so only one block of
     projections exists at once.
     """
-    bits = np.empty((len(X), l), dtype=bool)
     for a, b in row_blocks(len(X), block_rows(l)):
-        np.greater_equal(project(X[a:b]), 0.0, out=bits[a:b])
+        yield a, b, project(X[a:b]) >= 0.0
+
+
+def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
+    """The (N, l) bits of sign_blocks."""
+    bits = np.empty((len(X), l), dtype=bool)
+    for a, b, block in sign_blocks(project, X, l):
+        bits[a:b] = block
     return bits
+
+
+def sign_words(project, X: np.ndarray, l: int) -> np.ndarray:
+    """The bits of sign_blocks as (N, ceil(l/64)) packed words, each block
+    packed as it comes, so no (N, l) bools exist."""
+    words = np.empty((len(X), n_words(l)), dtype=np.uint64)
+    for a, b, block in sign_blocks(project, X, l):
+        words[a:b] = pack_bits(block)
+    return words
 
 
 class Hasher:
@@ -220,9 +239,9 @@ def encode_map(params: ModelParams, x) -> HashCode:
 
 
 def encode_map_batch(params: ModelParams, X) -> np.ndarray:
-    """MAP-encode the rows of X, one row block at a time (sign_bits);
+    """MAP-encode the rows of X, one row block at a time (sign_words);
     returns (N, ceil(l/64)) packed words."""
-    return pack_bits(sign_bits(params._project, params._matrix(X), params.l))
+    return sign_words(params._project, params._matrix(X), params.l)
 
 
 def stochastic_neuron(p: float, xi: float) -> int:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from genhash.baselines import (
     pca_reconstruct,
 )
 from genhash.codes import HashCode
+from genhash.data_io import synth_mixture
 from genhash.errors import InputError
 
 
@@ -116,8 +120,6 @@ def test_itq_two_dim_beats_grid_search(seed):
     # alternation attains the exhaustive-rotation optimum (alternation from a
     # flat-Gaussian start can stall in a local basin; that is inherent to the
     # single-start algorithm, not an implementation defect)
-    from genhash.data_io import synth_mixture
-
     X = synth_mixture(200, 6, 5, 1.0, seed).rows
     model = itq_fit(X, 2, iterations=50)
     V = (X - model.mean) @ model.W_pca
@@ -156,20 +158,75 @@ def _reference_itq_fit(X, l, iterations, rotation_seed=None):
     return R, losses, scale
 
 
+def _itq_case(rng, case):
+    """(X, l) of one oracle case of itq_fit."""
+    if case == "rows at the mean":
+        # integer columns with zero sums and zero dot products: the mean is
+        # exactly 7, the covariance diagonal and W_pca the identity, so rows
+        # at the mean in some or all coordinates project to exactly +-0.0
+        # there. Under the identity start those count as sign +1, and the
+        # rows with some nonzero coordinates carry that sign into B^T V.
+        pattern = np.array([[1, 1, 0], [1, -1, 0], [-1, 0, 1], [-1, 0, -1]], dtype=np.float64)
+        X = np.concatenate([pattern * [3.0, 2.0, 1.0], pattern * [6.0, 4.0, 2.0], np.zeros((3, 3))])
+        X += 7.0
+        V = (X - X.mean(axis=0)) @ pca_fit(X, 3)[1]
+        assert (V == 0.0).sum() == 17 and (V == 0.0).all(axis=1).sum() == 3
+        return X, 3
+    if case == "5003x16":
+        return rng.normal(size=(5003, 16)) @ rng.normal(size=(16, 16)), 16
+    X = rng.normal(size=(300, 8))
+    if case == "rank-deficient":
+        X = X[:, :3] @ rng.normal(size=(3, 8))
+    return X, 5
+
+
 @pytest.mark.filterwarnings("ignore:covariance rank")
 @pytest.mark.parametrize("rotation_seed", [None, 3])
-@pytest.mark.parametrize("rank_deficient", [False, True])
-def test_itq_fit_bitwise_equals_reference(rng, rotation_seed, rank_deficient):
-    X = rng.normal(size=(300, 8))
-    if rank_deficient:
-        X = X[:, :3] @ rng.normal(size=(3, 8))
+@pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "rows at the mean", "5003x16"])
+def test_itq_fit_bitwise_equals_reference(rng, rotation_seed, case):
+    X, l = _itq_case(rng, case)
     for iterations in (0, 1, 20):
-        model = itq_fit(X, 5, iterations, rotation_seed)
-        assert model.rank_ok != rank_deficient
-        R, losses, scale = _reference_itq_fit(X, 5, iterations, rotation_seed)
+        model = itq_fit(X, l, iterations, rotation_seed)
+        assert model.rank_ok == (case != "rank-deficient")
+        R, losses, scale = _reference_itq_fit(X, l, iterations, rotation_seed)
         assert np.array_equal(model.R, R)
         assert np.array_equal(model.quant_losses, losses)
         assert np.array_equal(model.scale, scale)
+
+
+def test_itq_fit_memory_is_a_small_multiple_of_its_projections(rng):
+    n, l = 100_000, 16
+    X = rng.normal(size=(n, l))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        itq_fit(X, l, iterations=2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # V, one float64 work buffer and two one-byte arrays take 2.25 N l 8
+    # bytes; holding B, V R and the loss terms as separate arrays took 4.1
+    assert peak < 2.5 * n * l * 8, peak / (n * l * 8)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e200 column"])
+def test_itq_and_pca_reject_non_finite_rows_without_warnings(bad):
+    rows = synth_mixture(200, 6, 2, 1.0, 3).rows
+    if bad == "1e200 column":
+        rows[:, 2] *= 1e200  # finite, but the covariance overflows
+    else:
+        rows[17, 2] = float(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (pca_fit, itq_fit):
+            with pytest.raises(InputError, match="^dataset column 2 has a non-finite"):
+                fit(rows, 4)
+
+
+def test_pca_rank_warning_names_the_count_it_returns():
+    with pytest.warns(UserWarning, match="covariance rank 0 below requested 3 components; returning 1"):
+        mean, W = pca_fit(np.ones((10, 4)), 3)
+    assert W.shape == (4, 1)
 
 
 def test_itq_random_rotation_option(rng):

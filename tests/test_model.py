@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from genhash.model import (
     loss_bits,
     row_blocks,
     sign_bits,
+    sign_words,
     softplus,
     stochastic_neuron,
 )
@@ -137,6 +139,9 @@ def test_sign_bits_is_project_ge_zero_across_blocks(rng):
     assert bits.dtype == bool and np.array_equal(bits, X >= 0.0)
     assert bits[X == 0.0].all()  # sign(+-0) = +1
     assert sign_bits(lambda rows: rows, X[:0], l).shape == (0, l)
+    words = sign_words(lambda rows: rows, X, l)
+    assert words.dtype == np.uint64 and np.array_equal(words, padded_pack_bits(X >= 0.0))
+    assert sign_words(lambda rows: rows, X[:0], l).shape == (0, 1)
 
 
 def _sign_encoders(kind, rng, d, l):
@@ -211,6 +216,23 @@ def test_encoders_give_the_same_bytes_under_1_and_2_blas_threads():
                               capture_output=True, text=True, timeout=300, check=True)
         digests.append(done.stdout)
     assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
+# SGH holds one block of projections and its bools; ITQ's projection chains
+# two products, (X - mean) W_pca and then R, so two ~1 MB blocks coexist
+@pytest.mark.parametrize("kind, block_mib", [("SGH", 2), ("ITQ", 3)])
+def test_encoder_memory_is_the_words_and_one_block(rng, kind, block_mib):
+    model, encode, _ = _sign_encoders(kind, rng, 64, 64)
+    X = rng.normal(size=(200_000, 64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = encode(model, X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the (N, l) bools packed at the end would take 12.2 MiB more
+    assert peak < words.nbytes + block_mib * 2**20, (peak - words.nbytes) / 2**20
 
 
 # ---------------------------------------------------------------------------
