@@ -20,7 +20,7 @@ SIDE = 16
 if len(sys.argv) > 1:
     dataset = read_mnist_idx(sys.argv[1])
     side = int(np.sqrt(dataset.d))
-    dataset = Dataset(dataset.rows[:10_000], source=dataset.source)
+    dataset = Dataset(dataset[:10_000], source=dataset.source)
 else:
     # blobs: a bright disc at a random position on a dim background
     rng = np.random.default_rng(3)
@@ -40,7 +40,7 @@ print(f"{dataset.n} images of {side}x{side}")
 # %%
 params, _ = train(centered, TrainConfig(steps=4000, bits=32, seed=1))
 
-samples = centered.rows[:8]
+samples = centered[:8]
 grid = reconstruction_grid(params, samples, (side, side))
 write_pgm("templates.pgm", grid)
 print(f"wrote templates.pgm ({grid.shape[1]}x{grid.shape[0]}):")

@@ -10,16 +10,22 @@ PcaModel, ItqModel and the learned ModelParams share one hasher surface:
 d, l, encode_batch(X), reconstruct_batch(X) and templates(), and the input
 checks of model.Hasher. PCA has no binary code, so its encode_batch raises
 InputError. The per-sample functions wrap the batch code: ItqModel._project,
-ItqModel._decode and PcaModel.reconstruct_batch. ITQ encodes through
+ItqModel._decode and PcaModel.reconstruct_batch. Data may be a model.Rows
+(a data_io.Dataset is one), read a row block at a time. ITQ encodes through
 model.sign_words and reconstructs through model.sign_bits, one row block
 at a time. Beyond its packed words (encode) or its (N, l) bools
 (reconstruct), a batch holds two of one block's arrays at once: the
 centred rows and their projections, then the projections and their
 rotation (about 1 MB each at d = l).
 
-itq_fit holds the (N, l) projections V, one float64 (N, l) work buffer
-and two (N, l) one-byte arrays, the next signs as bools and the current
-ones as int8, during its alternation: about 2.25 times V.
+pca_fit and itq_fit hold one float64 matrix of the centred rows for the
+covariance, and itq_fit also for V; it is freed before the alternation.
+From a file's float32 or uint8 values it is built a row block at a time,
+so it is the one (N, d) float64 matrix they make, since one product over
+all rows fixes the covariance's bytes. itq_fit then holds the (N, l)
+projections V, one float64 (N, l) work buffer and two (N, l) one-byte
+arrays, the next signs as bools and the current ones as int8, during its
+alternation: about 2.25 times V.
 """
 
 import warnings
@@ -30,7 +36,7 @@ import numpy as np
 from .codes import PLUS_MINUS, HashCode, bits_to_values
 from .codes import pack_bits  # a patch point in bench/timing.py PATCH_POINTS
 from .errors import InputError
-from .model import Hasher, sign_bits, sign_words
+from .model import Hasher, as_rows, block_rows, column_sums, row_blocks, sign_bits, sign_words
 
 DEFAULT_ITQ_ITERATIONS = 50
 
@@ -70,7 +76,7 @@ class PcaModel(_Projection):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Projections of the rows of X onto the principal subspace."""
-        c = self._matrix(X) - self.mean
+        c = self._rows(X).matrix() - self.mean
         return self.mean + c @ self.W_pca @ self.W_pca.T
 
     def templates(self) -> np.ndarray:
@@ -106,7 +112,7 @@ class ItqModel(_Projection):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Sign codes of the rows of X mapped back through the scaled binary cube."""
-        return self._decode(sign_bits(self._project, self._matrix(X), self.l))
+        return self._decode(sign_bits(self._project, self._rows(X), self.l))
 
     def _project(self, X) -> np.ndarray:
         """Rotated projections (X - mean) W_pca R of a (d,) point or (N, d) rows."""
@@ -122,11 +128,23 @@ class ItqModel(_Projection):
         return (self.W_pca @ self.R).T
 
 
-def _rows(dataset) -> np.ndarray:
-    rows = np.asarray(dataset, dtype=np.float64)
-    if rows.ndim != 2:
+def _rows(dataset):
+    rows = as_rows(dataset)
+    if len(rows.shape) != 2:
         raise InputError("expected a (N, d) data matrix")
     return rows
+
+
+def _centred(rows, mean) -> np.ndarray:
+    """The float64 matrix of rows less mean: one subtraction for a float64
+    matrix, else one row block at a time, converted into its place."""
+    if not rows.converts:
+        return rows.stored - mean
+    centred = np.empty(rows.shape)
+    for a, b in row_blocks(rows.n, block_rows(rows.d)):
+        block = rows.take(slice(a, b), out=centred[a:b])
+        np.subtract(block, mean, out=block)
+    return centred
 
 
 def _check_finite(stat: np.ndarray, what: str):
@@ -146,16 +164,20 @@ def pca_fit(dataset, l: int):
     mean or covariance is not finite (NaN or inf in the rows, or values too
     large to square) is an InputError; both checks cost O(d^2), not O(N d).
     """
-    rows = _rows(dataset)
+    return _pca(_rows(dataset), l)[:2]
+
+
+def _pca(rows, l: int):
+    """pca_fit's (mean, W_pca), and the centred rows the covariance came from."""
     n, d = rows.shape
     if n < 2:
         raise InputError("need at least 2 samples to fit principal directions")
     if l < 1 or l > d:
         raise InputError(f"l must lie in [1, {d}], got {l}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = rows.mean(axis=0)
+        mean = column_sums(rows) / n
         _check_finite(mean, "mean: it holds NaN or inf")
-        centered = rows - mean
+        centered = _centred(rows, mean)
         cov = centered.T @ centered / (n - 1)
     _check_finite(cov, "covariance: its values are too large to square")
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -166,13 +188,13 @@ def pca_fit(dataset, l: int):
     if rank < l:
         warnings.warn(
             f"covariance rank {rank} below requested {l} components; returning {max(rank, 1)}",
-            stacklevel=2,
+            stacklevel=3,
         )
         l = max(rank, 1)
     W = eigvecs[:, :l]
     flip = np.sign(W[np.abs(W).argmax(axis=0), np.arange(l)])
     flip[flip == 0] = 1.0
-    return mean, W * flip
+    return mean, W * flip, centered
 
 
 def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_seed=None):
@@ -184,11 +206,11 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
     ||B - V R||_F^2 over orthogonal R is R = S S_hat^T. Each half-step is an
     exact minimizer, so the recorded quantization loss never increases.
     """
-    rows = _rows(dataset)
     requested = l
-    mean, W_pca = pca_fit(rows, l)
+    mean, W_pca, centered = _pca(_rows(dataset), l)
     rank = W_pca.shape[1]
-    V = (rows - mean) @ W_pca
+    V = centered @ W_pca
+    del centered  # the alternation below needs only V
     if rotation_seed is None:
         R = np.eye(rank)
     else:
@@ -237,7 +259,7 @@ def itq_encode(model: ItqModel, x) -> HashCode:
 def itq_encode_batch(model: ItqModel, X) -> np.ndarray:
     """Sign codes of the rows of X as (N, ceil(l/64)) packed words, packed
     one row block at a time (model.sign_words)."""
-    return sign_words(model._project, model._matrix(X), model.l)
+    return sign_words(model._project, model._rows(X), model.l)
 
 
 def itq_reconstruct(model: ItqModel, h: HashCode) -> np.ndarray:

@@ -7,6 +7,10 @@ inputs. Exit codes: 0 ok, 2 input error, 3 file-format error, 4 training
 abort. Commands that read a checkpoint use the model's hasher surface
 (encode_batch, reconstruct_batch, templates) on data checked against the
 model's width and centred by the SGH checkpoint's mean.
+
+train, encode and baseline read their data a row block at a time
+(model.Rows), as float64 upcast, scaled and centred on the way.
+groundtruth, and eval's query rows, take the whole float64 matrix.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from .baselines import itq_fit, pca_fit, PcaModel
 from .codes import CODE_DOMAINS, ZERO_ONE, HashCode
 from .errors import CapabilityError, FormatError, InputError, TrainingError
 from .model import encode_map_batch  # a patch point in bench/timing.py PATCH_POINTS
-from .model import ModelParams
+from .model import ModelParams, Rows
 from .training import TrainConfig, exact_grad_check, train
 
 EXIT_OK = 0
@@ -65,14 +69,13 @@ def _load_data(path: str, fmt: str, seed: int) -> data_io.Dataset:
 
 
 def _load_model_and_rows(ckpt: str, path: str, fmt: str, seed: int, expect_kind=None):
-    """A checkpoint's model and the data rows it takes: (N, model.d), centred in
-    place by the SGH checkpoint's mean if it has one; an empty file gives (0, d)."""
+    """A checkpoint's model and the data rows it takes, as a model.Rows of
+    (N, model.d) rows less the SGH checkpoint's mean if it has one; an empty
+    file gives (0, d)."""
     model, mean = data_io.load_checkpoint(ckpt, expect_kind)
     dataset = _load_data(path, fmt, seed)
-    rows = model._matrix(dataset.rows if dataset.n else np.empty((0, model.d)))
-    if mean is not None:
-        rows -= mean
-    return model, rows
+    stored = dataset.stored if dataset.n else np.empty((0, model.d))
+    return model, model._rows(Rows(stored, dataset.scale, mean))
 
 
 def cmd_train(args) -> int:
@@ -109,10 +112,11 @@ def cmd_groundtruth(args) -> int:
     queries = _load_data(args.queries, args.queries_format, args.seed + 1)
     if dataset.n == 0 or queries.n == 0:
         raise InputError("ground truth needs a non-empty dataset and query set")
+    rows, query_rows = dataset.rows, queries.rows
     if args.metric == "l2":
-        lists = search.knn_exact_l2_batch(dataset.rows, queries.rows, args.k)
+        lists = search.knn_exact_l2_batch(rows, query_rows, args.k)
     else:
-        lists = np.stack([search.knn_exact_ip(dataset.rows, q, args.k) for q in queries.rows])
+        lists = np.stack([search.knn_exact_ip(rows, q, args.k) for q in query_rows])
     data_io.write_ivecs(args.out, lists)
     return EXIT_OK
 
@@ -139,6 +143,7 @@ def cmd_eval(args) -> int:
         model, queries = _load_model_and_rows(
             args.ckpt, args.queries, args.queries_format, args.seed, data_io.KIND_SGH
         )
+        queries = queries.matrix()
         if model.l != bits:
             raise InputError(f"checkpoint is {model.l}-bit but index is {bits}-bit")
 

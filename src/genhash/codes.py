@@ -48,7 +48,8 @@ def check_words(words, l: int, ndim: int) -> np.ndarray:
     if words.ndim != ndim or words.shape[-1] != n_words(l):
         raise InputError(f"{l}-bit codes need {ndim}-D words, {n_words(l)} each: {words.shape}")
     pad = n_words(l) * WORD_BITS - l
-    if pad and np.any(words[..., -1] >> np.uint64(WORD_BITS - pad)):
+    # the padding bits are the top pad bits of the last word: a reduction, no (N,) temporary
+    if pad and words[..., -1].max(initial=0) >> np.uint64(WORD_BITS - pad):
         raise InputError("padding bits beyond the code length must be zero")
     return words
 

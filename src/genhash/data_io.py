@@ -7,18 +7,24 @@ uint8 / int32 elements for .fvecs / .bvecs / .ivecs, one d per file; fvecs
 values are finite. Images come in big-endian IDX files. Checkpoints are
 little-endian, with per-kind payload fields (_LAYOUTS) and a trailing FNV-1a
 checksum; loads are bit-exact. Code files hold words that pass check_words.
+
+Readers map a file read-only (_file_bytes) rather than read it. The fvecs,
+bvecs and IDX readers check every record in one row-blocked pass over the
+map and give a Dataset of the values as they are on disk, upcast a row
+block at a time by its users, so reading a file makes no float64 copy.
 """
 
 import math
+import os
+import stat
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import ItqModel, PcaModel
 from .codes import CODE_DOMAINS, check_words, n_words
 from .errors import FormatError, InputError
-from .model import ModelParams, block_rows, row_blocks
+from .model import ModelParams, Rows, block_rows, column_sums, row_blocks
 
 CHECKPOINT_MAGIC = b"GHCKPT\x00\x00"
 CHECKPOINT_VERSION = 1
@@ -38,50 +44,77 @@ _CODES_HEAD = struct.Struct("<QI")  # number of codes, code length l
 _IDX_HEAD = struct.Struct(">iii")  # image count, rows, columns
 
 
+def _file_bytes(path) -> np.ndarray:
+    """A file's bytes as a read-only uint8 array: a memory map of a regular
+    file, or the bytes read (an empty file, a pipe). The file must not
+    change while the array is in use."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            return np.memmap(f, dtype=np.uint8, mode="r").view(np.ndarray)
+        return np.frombuffer(f.read(), dtype=np.uint8)
+
+
 def _read_headed(path, magic: bytes, head: struct.Struct, what: str, tail: int = 0):
     """A file's header fields and a view of the bytes after them; FormatError if
     it is shorter than magic, header and tail bytes, or starts with another magic."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = memoryview(_file_bytes(path))
     if len(raw) < len(magic) + head.size + tail:
         raise FormatError(f"{path}: {what} truncated")
-    if not raw.startswith(magic):
+    if raw[: len(magic)] != magic:
         raise FormatError(f"{path}: bad magic, not a {what}")
-    return head.unpack_from(raw, len(magic)), memoryview(raw)[len(magic) + head.size :]
+    return head.unpack_from(raw, len(magic)), raw[len(magic) + head.size :]
 
 
-@dataclass
-class Dataset:
-    """Dense feature matrix, float64 in memory (32-bit on disk); np.asarray gives the rows."""
+class Dataset(Rows):
+    """A dense feature matrix: a model.Rows, whose float64 rows come a
+    selection or a row block at a time, and the name of its source.
 
-    rows: np.ndarray
-    mean: np.ndarray | None = None
-    source: str = ""
+    Built from a matrix, it holds it as C-ordered float64, checked finite.
+    A reader's Dataset holds the file's values as they are on disk, checked
+    when read: a read-only memory map of its float32 or uint8 values (IDX
+    pixels with scale 255). mean, when set, is subtracted from every row
+    given out; centered() sets it. rows and np.asarray give the whole
+    float64 matrix: the one it was built from, else a new array.
+    """
 
-    def __post_init__(self):
-        self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
+    def __init__(self, rows, mean=None, source: str = ""):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
             raise InputError("dataset rows must form a (N, d) matrix")
         # one row block at a time, so no (N, d) bools; block_rows needs d >= 1
-        blocks = row_blocks(self.n, block_rows(self.d)) if self.rows.size else []
-        if not all(np.isfinite(self.rows[a:b]).all() for a, b in blocks):
+        blocks = row_blocks(len(rows), block_rows(rows.shape[1])) if rows.size else []
+        if not all(np.isfinite(rows[a:b]).all() for a, b in blocks):
             raise InputError("dataset contains non-finite values")
+        if mean is not None:
+            mean = np.asarray(mean, dtype=np.float64)
+            if mean.shape != rows.shape[1:] or not np.isfinite(mean).all():
+                raise InputError(f"dataset mean must be a finite ({rows.shape[1]},) vector")
+        super().__init__(rows, mean=mean)
+        self.source = source
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.rows, dtype=dtype, copy=copy)
+    @classmethod
+    def _checked(cls, stored, source: str, scale=None, mean=None) -> "Dataset":
+        """A Dataset of values already checked, built without another pass over them."""
+        dataset = cls.__new__(cls)
+        Rows.__init__(dataset, stored, scale, mean)
+        dataset.source = source
+        return dataset
 
     @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
+    def rows(self) -> np.ndarray:
+        return self.matrix()
 
     def centered(self) -> "Dataset":
-        """Subtract the column means; the removed mean rides along."""
-        mean = self.rows.mean(axis=0)
-        return Dataset(self.rows - mean, mean=mean, source=self.source)
+        """Subtract the column means (model.column_sums, a row block at a
+        time); the removed mean rides along. The stored values are shared,
+        not copied: the mean comes off each row as it is read."""
+        base = self if self.mean is None else Dataset(self.rows, source=self.source)
+        with np.errstate(invalid="ignore"):  # no rows: 0 / 0
+            mean = column_sums(base) / base.n
+        if base.n and not np.isfinite(mean).all():
+            raise InputError("dataset contains non-finite values")
+        return Dataset._checked(base.stored, self.source, base.scale, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -96,47 +129,65 @@ def _vec_record(flavor: str, d: int) -> np.dtype:
     return np.dtype([("d", "<i4"), ("v", _VEC_ELEMENT[flavor], (d,))])
 
 
-def _read_vecs(path, flavor: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw:
-        return np.empty((0, 0), dtype=_VEC_ELEMENT[flavor])
-    if len(raw) < 4:
+def _read_vecs(path, flavor: str) -> np.ndarray | None:
+    """A vector file's values as a read-only (N, d) view of its map, every
+    record checked in one row-blocked pass: a FormatError for the first
+    dimension prefix other than the file's d, else an InputError if an
+    fvecs value is not finite. None for an empty file."""
+    raw = _file_bytes(path)
+    if not raw.size:
+        return None
+    if raw.size < 4:
         raise FormatError(f"{path}: truncated dimension prefix at byte 0")
-    d = int.from_bytes(raw[:4], "little", signed=True)
+    d = int(raw[:4].view("<i4")[0])
     if d <= 0:
         raise FormatError(f"{path}: non-positive dimension {d} at byte 0")
     # sized in Python ints: numpy refuses a record dtype larger than a C int
     record = 4 + d * _VEC_ELEMENT[flavor].itemsize
-    if len(raw) % record != 0:
-        offset = (len(raw) // record) * record
+    if raw.size % record != 0:
+        offset = (raw.size // record) * record
         raise FormatError(
-            f"{path}: file size {len(raw)} is not a whole number of "
+            f"{path}: file size {raw.size} is not a whole number of "
             f"{record}-byte records (trailing data at byte {offset})"
         )
-    records = np.frombuffer(raw, _vec_record(flavor, d))
-    bad = np.flatnonzero(records["d"] != d)
-    if bad.size:
-        raise FormatError(
-            f"{path}: record {bad[0]} has dimension {records['d'][bad[0]]} != {d} "
-            f"(at byte {bad[0] * record})"
-        )
+    records = raw.view(_vec_record(flavor, d))
+    finite = True
+    for a, b in row_blocks(len(records), block_rows(d)):
+        bad = np.flatnonzero(records["d"][a:b] != d)
+        if bad.size:
+            at = a + bad[0]
+            raise FormatError(
+                f"{path}: record {at} has dimension {records['d'][at]} != {d} "
+                f"(at byte {at * record})"
+            )
+        if finite and flavor == "fvecs":
+            finite = bool(np.isfinite(records["v"][a:b]).all())
+    if not finite:
+        raise InputError("dataset contains non-finite values")
     return records["v"]
+
+
+def _read_dataset(path, flavor: str) -> Dataset:
+    values = _read_vecs(path, flavor)
+    if values is None:
+        return Dataset(np.empty((0, 0)), source=str(path))
+    return Dataset._checked(values, str(path))
 
 
 def read_fvecs(path) -> Dataset:
     """Read float32 vectors; see module docstring for the record layout."""
-    return Dataset(_read_vecs(path, "fvecs").astype(np.float64), source=str(path))
+    return _read_dataset(path, "fvecs")
 
 
 def read_bvecs(path) -> Dataset:
-    """Read uint8 vectors, widened to float64."""
-    return Dataset(_read_vecs(path, "bvecs").astype(np.float64), source=str(path))
+    """Read uint8 vectors, widened to float64 as they are read."""
+    return _read_dataset(path, "bvecs")
 
 
 def read_ivecs(path) -> np.ndarray:
     """Read int32 id lists as an (N, k) array."""
-    return _read_vecs(path, "ivecs").astype(np.int32)
+    values = _read_vecs(path, "ivecs")
+    return np.empty((0, 0), dtype=np.int32) if values is None else values.astype(np.int32)
 
 
 def _write_vecs(path, rows, flavor: str):
@@ -193,7 +244,7 @@ def read_mnist_idx(path) -> Dataset:
     if len(body) != count * rows_ * cols:
         raise FormatError(f"{path}: {count}x{rows_}x{cols} pixels, {len(body)} bytes")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, rows_ * cols)
-    return Dataset(pixels.astype(np.float64) / 255.0, source=str(path))
+    return Dataset._checked(pixels, str(path), scale=255.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +390,7 @@ def write_packed_codes(path, codes: np.ndarray, l: int):
     with open(path, "wb") as f:
         f.write(CODES_MAGIC)
         f.write(_CODES_HEAD.pack(codes.shape[0], l))
-        f.write(codes.astype("<u8").tobytes())
+        codes.astype("<u8", copy=False).tofile(f)
 
 
 def read_packed_codes(path):

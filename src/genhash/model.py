@@ -12,13 +12,18 @@ are safe to call concurrently on shared parameters. Data points are plain
 
 Written once here: Hasher's input checks for every model, the decoder mean
 ModelParams.decode_batch, loss_terms, the batched loss terms that
-loss_bits, code_log_q and the training step use, and sign_blocks, the MAP
-sign rule of every batch encoder. sign_blocks projects and thresholds one
-row block (row_blocks) at a time. The encoders pack each block into the
-output words as it comes (sign_words), so encoding N rows holds the packed
-words and one block: about 1 MB of float64 projections and its bools,
-never the whole (N, l) product or N*l bools. reconstruct_batch gathers the
-blocks' bits into one (N, l) bool array (sign_bits).
+loss_bits, code_log_q and the training step use, sign_blocks, the MAP
+sign rule of every batch encoder, and Rows, the one source of float64 data
+rows. sign_blocks projects and thresholds one row block (row_blocks) at a
+time. The encoders pack each block into the output words as it comes
+(sign_words), so encoding N rows holds the packed words and one block:
+about 1 MB of float64 projections and its bools, never the whole (N, l)
+product or N*l bools. reconstruct_batch gathers the blocks' bits into one
+(N, l) bool array (sign_bits).
+
+A Rows upcasts, scales and centres the rows it is asked for, so a file's
+float32 or uint8 values (data_io.Dataset) reach the encoders, training and
+the baselines one block at a time, and never as a whole float64 copy.
 """
 
 from dataclasses import dataclass
@@ -63,19 +68,120 @@ def row_blocks(n: int, block: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def sign_blocks(project, X: np.ndarray, l: int):
+class Rows:
+    """The rows of an (N, d) matrix as float64, a selection at a time.
+
+    stored holds the values as they are kept: a float64 matrix, or a
+    file's float32 or uint8 values (data_io maps them read-only). rows[sel]
+    (sel a slice, an int or an index array) is stored[sel] upcast to
+    float64, divided by scale, less mean, in that order. Each step is exact
+    and elementwise, so a selection holds the bytes of the same rows of the
+    whole float64 matrix, matrix(). A float64 matrix with neither scale nor
+    mean is used as it is: rows[a:b] is a view of it, and matrix() is it.
+    """
+
+    def __init__(self, stored, scale=None, mean=None):
+        self.stored = stored
+        self.scale = scale
+        self.mean = mean
+
+    @property
+    def shape(self) -> tuple:
+        return self.stored.shape
+
+    @property
+    def n(self) -> int:
+        return self.stored.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.stored.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    @property
+    def converts(self) -> bool:
+        """Whether a selection is computed, rather than a view of stored."""
+        return self.stored.dtype != np.float64 or self.scale is not None or self.mean is not None
+
+    @property
+    def pairwise(self) -> bool:
+        """Whether numpy sums each column of matrix() pairwise, not row by
+        row: the column is the contiguous run (d = 1, Fortran order).
+        Conversion keeps the layout of stored."""
+        row_stride, col_stride = (abs(stride) for stride in self.stored.strides)
+        return self.d == 1 or 0 < row_stride < col_stride
+
+    def take(self, sel, out=None) -> np.ndarray:
+        """rows[sel], written into the float64 array out when one is given."""
+        rows = self.stored[sel]
+        if out is not None:
+            np.copyto(out, rows)
+            rows = out
+        elif not self.converts:
+            return rows
+        elif rows.dtype != np.float64 or np.may_share_memory(rows, self.stored):
+            rows = rows.astype(np.float64)
+        if self.scale is not None:
+            np.divide(rows, self.scale, out=rows)
+        if self.mean is not None:
+            np.subtract(rows, self.mean, out=rows)
+        return rows
+
+    def __getitem__(self, sel) -> np.ndarray:
+        return self.take(sel)
+
+    def matrix(self) -> np.ndarray:
+        """The whole (N, d) float64 matrix: stored itself, or a new array."""
+        return self.take(slice(None)) if self.converts else self.stored
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix(), dtype=dtype, copy=copy)
+
+
+def as_rows(X) -> Rows:
+    """X as a Rows: X itself if it is one (a data_io.Dataset is), else its
+    float64 matrix."""
+    return X if isinstance(X, Rows) else Rows(np.asarray(X, dtype=np.float64))
+
+
+def column_sums(rows: Rows) -> np.ndarray:
+    """matrix().sum(axis=0), byte for byte, without the matrix when rows
+    converts.
+
+    numpy adds the rows of a row-major matrix in order, so the sums are
+    taken one row_blocks block at a time in a buffer whose row 0 carries
+    each column's running sum, the block converted into the rows after it.
+    Where numpy sums a column pairwise (pairwise), a column cannot be split
+    without changing that order, so the whole matrix is summed: at d = 1 one
+    column of N float64s.
+    """
+    if not rows.converts or rows.pairwise:
+        return rows.matrix().sum(axis=0)
+    bounds = row_blocks(rows.n, block_rows(rows.d))
+    buf = np.empty((max(b - a for a, b in bounds) + 1, rows.d))
+    sums = np.full(rows.d, -0.0)  # -0.0 + y is y for every y, so the first block adds from 0
+    for a, b in bounds:
+        buf[0] = sums
+        rows.take(slice(a, b), out=buf[1 : b - a + 1])
+        np.add.reduce(buf[: b - a + 1], axis=0, out=sums)
+    return sums
+
+
+def sign_blocks(project, X, l: int):
     """Yield (a, b, project(X[a:b]) >= 0.0) for each row block of an (N, d)
-    matrix: the MAP sign rule of every encoder (sign(0) = +1).
+    matrix or Rows: the MAP sign rule of every encoder (sign(0) = +1).
 
     project maps a block of rows to their (rows, l) projections, row by
     row. It runs on one row block at a time, so only one block of
-    projections exists at once.
+    projections, and of a Rows' converted rows, exists at once.
     """
     for a, b in row_blocks(len(X), block_rows(l)):
         yield a, b, project(X[a:b]) >= 0.0
 
 
-def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
+def sign_bits(project, X, l: int) -> np.ndarray:
     """The (N, l) bits of sign_blocks."""
     bits = np.empty((len(X), l), dtype=bool)
     for a, b, block in sign_blocks(project, X, l):
@@ -83,7 +189,7 @@ def sign_bits(project, X: np.ndarray, l: int) -> np.ndarray:
     return bits
 
 
-def sign_words(project, X: np.ndarray, l: int) -> np.ndarray:
+def sign_words(project, X, l: int) -> np.ndarray:
     """The bits of sign_blocks as (N, ceil(l/64)) packed words, each block
     packed as it comes, so no (N, l) bools exist."""
     words = np.empty((len(X), n_words(l)), dtype=np.uint64)
@@ -102,9 +208,9 @@ class Hasher:
             raise InputError(f"input width d must be >= 1, got {self.d}")
         check_length(self.l)
 
-    def _matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d:
+    def _rows(self, X) -> Rows:
+        X = as_rows(X)
+        if len(X.shape) != 2 or X.d != self.d:
             raise InputError(f"expected (N, {self.d}) data matrix, got {X.shape}")
         return X
 
@@ -181,7 +287,7 @@ class ModelParams(Hasher):
 
     def reconstruct_batch(self, X) -> np.ndarray:
         """Decoder means of the MAP codes of the rows of X."""
-        return self.decode_batch(sign_bits(self._project, self._matrix(X), self.l))
+        return self.decode_batch(sign_bits(self._project, self._rows(X), self.l))
 
     def _project(self, X) -> np.ndarray:
         """Encoder activations X W of (N, d) rows, as (N, l)."""
@@ -241,7 +347,7 @@ def encode_map(params: ModelParams, x) -> HashCode:
 def encode_map_batch(params: ModelParams, X) -> np.ndarray:
     """MAP-encode the rows of X, one row block at a time (sign_words);
     returns (N, ceil(l/64)) packed words."""
-    return sign_words(params._project, params._matrix(X), params.l)
+    return sign_words(params._project, params._rows(X), params.l)
 
 
 def stochastic_neuron(p: float, xi: float) -> int:

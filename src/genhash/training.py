@@ -42,9 +42,11 @@ from .errors import CapabilityError, InputError, TrainingError
 from .model import (
     BLOCK_BYTES,
     ModelParams,
+    as_rows,
     block_rows,
     clamp_probs,
     code_log_q,
+    column_sums,
     encode_probs,
     enumerate_codes,
     exact_objective,
@@ -364,33 +366,35 @@ class TrainingLog:
                 f.write(f"{step},{wloss!r},{wrec!r},{lr_t!r},{wall!r}\n")
 
 
-def column_std(rows: np.ndarray) -> np.ndarray:
-    """rows.std(axis=0) of an (N, d) float64 matrix, byte for byte, without
-    an (N, d) temporary.
+def column_std(rows) -> np.ndarray:
+    """rows.std(axis=0) of an (N, d) float64 matrix or model.Rows, byte for
+    byte, without an (N, d) temporary.
 
-    numpy takes the column mean as rows.sum(axis=0) / N, sums the squared
-    deviations (x - mean)**2 down each column, divides by N and takes the
-    root. Its sum follows the layout. Where the column axis has the smaller
-    stride (C order, a row view such as X[::2]) it adds the rows in order;
-    the squares are formed one model.row_blocks block at a time in a buffer
-    whose row 0 carries each column's running sum, so the blocked sum adds
-    in that order. Where a column is the contiguous run (d = 1, Fortran
-    order) numpy sums it pairwise, so the squares are formed a few whole
-    columns at a time (about BLOCK_BYTES) and summed the same way. A column
-    cannot be split there without changing that order, so past
-    BLOCK_BYTES / 8 rows the temporary is one column of N float64s: at
-    d = 1 as large as the rows, which is numpy's own (N, d) temporary.
+    numpy takes the column mean as rows.sum(axis=0) / N (model.column_sums),
+    sums the squared deviations (x - mean)**2 down each column, divides by
+    N and takes the root. Its sum follows the layout. Where the column axis
+    has the smaller stride (C order, a row view such as X[::2], a Rows of a
+    vector file) it adds the rows in order; the squares are formed one
+    model.row_blocks block at a time in a buffer whose row 0 carries each
+    column's running sum, so the blocked sum adds in that order. Where a
+    column is the contiguous run (Rows.pairwise: d = 1, Fortran order)
+    numpy sums it pairwise, so the squares are formed a few whole columns
+    at a time (about BLOCK_BYTES) and summed the same way. A column cannot
+    be split there without changing that order, so past BLOCK_BYTES / 8
+    rows the temporary is one column of N float64s: at d = 1 as large as
+    the rows, which is numpy's own (N, d) temporary.
     """
+    rows = as_rows(rows)
     n, d = rows.shape
-    mean = rows.sum(axis=0) / n
-    row_stride, col_stride = (abs(stride) for stride in rows.strides)
-    if d == 1 or 0 < row_stride < col_stride:
+    mean = column_sums(rows) / n
+    if rows.pairwise:
+        matrix = rows.matrix()
         sq = np.empty(d)
         width = max(1, BLOCK_BYTES // (8 * n))
         buf = np.empty((n, min(width, d)), order="F")  # columns contiguous, as numpy's
         for a in range(0, d, width):
             dev = buf[:, : min(width, d - a)]
-            np.square(np.subtract(rows[:, a : a + width], mean[a : a + width], out=dev), out=dev)
+            np.square(np.subtract(matrix[:, a : a + width], mean[a : a + width], out=dev), out=dev)
             sq[a : a + width] = dev.sum(axis=0)
     else:
         bounds = row_blocks(n, block_rows(d))
@@ -404,10 +408,11 @@ def column_std(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.divide(sq, n, out=sq), out=sq)
 
 
-def init_params(rows: np.ndarray, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
+def init_params(rows, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Seeded initialization.
 
-    Encoder columns are N(0, 1/d); the codebook starts as the encoder scaled
+    rows is an (N, d) float64 matrix or model.Rows. Encoder columns are
+    N(0, 1/d); the codebook starts as the encoder scaled
     by the mean per-dimension data standard deviation (decoder roughly inverts
     encoder); prior logits are zero (maximum-entropy prior); log_rho is the
     log of that same mean standard deviation (1 where that mean is 0). The
@@ -443,9 +448,14 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
     per example per bit, averages the configured estimator over the batch,
     and applies the optimizer at the decayed stepsize. A non-finite loss or
     gradient aborts with a reference to the last window-boundary snapshot.
+
+    dataset is an (N, d) float64 matrix or a model.Rows (a data_io.Dataset
+    is one). A Rows is read a row block at a time for the initial spread,
+    and each step gathers its batch rows[idx] as float64, so a vector file
+    is never upcast whole.
     """
-    rows = np.asarray(dataset, dtype=np.float64)
-    if rows.ndim != 2 or rows.size == 0:
+    rows = as_rows(dataset)
+    if len(rows.shape) != 2 or 0 in rows.shape:
         raise InputError(f"dataset must be a non-empty (N, d) matrix with d >= 1, got {rows.shape}")
     n = rows.shape[0]
     if config.batch_size > n:
