@@ -16,13 +16,14 @@ model.sign_words and reconstructs through model.sign_bits, one row block
 at a time. Beyond its packed words (encode) or its (N, l) bools
 (reconstruct), a batch holds two of one block's arrays at once: the
 centred rows and their projections, then the projections and their
-rotation (about 1 MB each at d = l).
+rotation (about 1 MB each at d = l; the centred rows are d/l times the
+projections).
 
 pca_fit and itq_fit hold one float64 matrix of the centred rows for the
 covariance, and itq_fit also for V; it is freed before the alternation.
-From a file's float32 or uint8 values it is built a row block at a time,
-so it is the one (N, d) float64 matrix they make, since one product over
-all rows fixes the covariance's bytes. itq_fit then holds the (N, l)
+It is built a row block at a time, so from a file's float32 or uint8
+values it is the one (N, d) float64 matrix they make, since one product
+over all rows fixes the covariance's bytes. itq_fit then holds the (N, l)
 projections V, one float64 (N, l) work buffer and two (N, l) one-byte
 arrays, the next signs as bools and the current ones as int8, during its
 alternation: about 2.25 times V.
@@ -136,10 +137,8 @@ def _rows(dataset):
 
 
 def _centred(rows, mean) -> np.ndarray:
-    """The float64 matrix of rows less mean: one subtraction for a float64
-    matrix, else one row block at a time, converted into its place."""
-    if not rows.converts:
-        return rows.stored - mean
+    """The float64 matrix of rows less mean, one row block at a time, each
+    converted into its place and centred there."""
     centred = np.empty(rows.shape)
     for a, b in row_blocks(rows.n, block_rows(rows.d)):
         block = rows.take(slice(a, b), out=centred[a:b])

@@ -73,12 +73,12 @@ class Dataset(Rows):
     Built from a matrix, it holds it as C-ordered float64, checked finite.
     A reader's Dataset holds the file's values as they are on disk, checked
     when read: a read-only memory map of its float32 or uint8 values (IDX
-    pixels with scale 255). mean, when set, is subtracted from every row
-    given out; centered() sets it. rows and np.asarray give the whole
+    pixels with scale 255). mean, which only centered() sets, is
+    subtracted from every row given out. rows and np.asarray give the whole
     float64 matrix: the one it was built from, else a new array.
     """
 
-    def __init__(self, rows, mean=None, source: str = ""):
+    def __init__(self, rows, *, source: str = ""):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise InputError("dataset rows must form a (N, d) matrix")
@@ -86,11 +86,7 @@ class Dataset(Rows):
         blocks = row_blocks(len(rows), block_rows(rows.shape[1])) if rows.size else []
         if not all(np.isfinite(rows[a:b]).all() for a, b in blocks):
             raise InputError("dataset contains non-finite values")
-        if mean is not None:
-            mean = np.asarray(mean, dtype=np.float64)
-            if mean.shape != rows.shape[1:] or not np.isfinite(mean).all():
-                raise InputError(f"dataset mean must be a finite ({rows.shape[1]},) vector")
-        super().__init__(rows, mean=mean)
+        super().__init__(rows)
         self.source = source
 
     @classmethod

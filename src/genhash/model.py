@@ -23,7 +23,10 @@ product or N*l bools. reconstruct_batch gathers the blocks' bits into one
 
 A Rows upcasts, scales and centres the rows it is asked for, so a file's
 float32 or uint8 values (data_io.Dataset) reach the encoders, training and
-the baselines one block at a time, and never as a whole float64 copy.
+the baselines one block at a time, and never as a whole float64 copy. An
+encoder's block is sized by l, so its converted rows are block_rows(l) to
+2 block_rows(l) rows of d float64 values: about d/l to 2 d/l MB, 126 MB at
+most at d = 960, l = 16.
 """
 
 from dataclasses import dataclass
@@ -123,14 +126,37 @@ class Rows:
             return rows
         elif rows.dtype != np.float64 or np.may_share_memory(rows, self.stored):
             rows = rows.astype(np.float64)
+        return self._scale_and_centre(rows, self.mean)
+
+    def _scale_and_centre(self, rows, mean) -> np.ndarray:
+        """Float64 rows, divided by scale and less mean in place."""
         if self.scale is not None:
             np.divide(rows, self.scale, out=rows)
-        if self.mean is not None:
-            np.subtract(rows, self.mean, out=rows)
+        if mean is not None:
+            np.subtract(rows, mean, out=rows)
         return rows
 
     def __getitem__(self, sel) -> np.ndarray:
         return self.take(sel)
+
+    def gather(self, size: int):
+        """A function that gives rows[idx] for a (size,) index array idx.
+
+        When rows converts, every call writes into one (size, d) float64
+        buffer, which the next call overwrites, and subtracts the mean as a
+        (size, d) tile made once: numpy subtracts a (d,) mean one row at a
+        time, at about twice the cost.
+        """
+        if not self.converts:
+            return self.take
+        out = np.empty((size, self.d))
+        tile = None if self.mean is None else np.tile(self.mean, (size, 1))
+
+        def gather(idx):
+            np.copyto(out, self.stored[idx])
+            return self._scale_and_centre(out, tile)
+
+        return gather
 
     def matrix(self) -> np.ndarray:
         """The whole (N, d) float64 matrix: stored itself, or a new array."""
@@ -175,7 +201,9 @@ def sign_blocks(project, X, l: int):
 
     project maps a block of rows to their (rows, l) projections, row by
     row. It runs on one row block at a time, so only one block of
-    projections, and of a Rows' converted rows, exists at once.
+    projections, and of a Rows' converted rows, exists at once. Blocks are
+    sized by l (about 1 MB of projections), so a block of converted rows is
+    under 2 block_rows(l) x d float64 values, d/l times the projections.
     """
     for a, b in row_blocks(len(X), block_rows(l)):
         yield a, b, project(X[a:b]) >= 0.0

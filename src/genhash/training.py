@@ -451,8 +451,8 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
 
     dataset is an (N, d) float64 matrix or a model.Rows (a data_io.Dataset
     is one). A Rows is read a row block at a time for the initial spread,
-    and each step gathers its batch rows[idx] as float64, so a vector file
-    is never upcast whole.
+    and each step gathers its batch rows[idx] as float64 (Rows.gather),
+    so a vector file is never upcast whole.
     """
     rows = as_rows(dataset)
     if len(rows.shape) != 2 or 0 in rows.shape:
@@ -474,11 +474,12 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
     walls = []
     last_good = params.copy()
     last_good_step = 0
+    gather = rows.gather(config.batch_size)
     t0 = time.perf_counter()
 
     for step in range(config.steps):
         idx = rng.integers(0, n, size=config.batch_size)
-        X = rows[idx]
+        X = gather(idx)
         xi = rng.random(size=(config.batch_size, config.bits))
         grads, mean_loss, map_err = _batch_stats(
             params, X, xi, config.estimator, config.include_direct_logq_grad
