@@ -37,7 +37,9 @@ import numpy as np
 from .codes import PLUS_MINUS, HashCode, bits_to_values
 from .codes import pack_bits  # a patch point in bench/timing.py PATCH_POINTS
 from .errors import InputError
-from .model import Hasher, as_rows, block_rows, column_sums, row_blocks, sign_bits, sign_words
+from .model import (
+    Hasher, as_rows, block_rows, check_columns, column_sums, row_blocks, sign_bits, sign_words,
+)
 
 DEFAULT_ITQ_ITERATIONS = 50
 
@@ -129,13 +131,6 @@ class ItqModel(_Projection):
         return (self.W_pca @ self.R).T
 
 
-def _rows(dataset):
-    rows = as_rows(dataset)
-    if len(rows.shape) != 2:
-        raise InputError("expected a (N, d) data matrix")
-    return rows
-
-
 def _centred(rows, mean) -> np.ndarray:
     """The float64 matrix of rows less mean, one row block at a time, each
     converted into its place and centred there."""
@@ -144,13 +139,6 @@ def _centred(rows, mean) -> np.ndarray:
         block = rows.take(slice(a, b), out=centred[a:b])
         np.subtract(block, mean, out=block)
     return centred
-
-
-def _check_finite(stat: np.ndarray, what: str):
-    """InputError naming the first data column whose (d,) or (d, d) statistic is not finite."""
-    bad = np.flatnonzero(~np.isfinite(stat.reshape(len(stat), -1)).all(axis=1))
-    if bad.size:
-        raise InputError(f"dataset column {bad[0]} has a non-finite {what}")
 
 
 def pca_fit(dataset, l: int):
@@ -163,7 +151,7 @@ def pca_fit(dataset, l: int):
     mean or covariance is not finite (NaN or inf in the rows, or values too
     large to square) is an InputError; both checks cost O(d^2), not O(N d).
     """
-    return _pca(_rows(dataset), l)[:2]
+    return _pca(as_rows(dataset), l)[:2]
 
 
 def _pca(rows, l: int):
@@ -174,11 +162,9 @@ def _pca(rows, l: int):
     if l < 1 or l > d:
         raise InputError(f"l must lie in [1, {d}], got {l}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = column_sums(rows) / n
-        _check_finite(mean, "mean: it holds NaN or inf")
+        mean = check_columns(column_sums(rows) / n, "mean")
         centered = _centred(rows, mean)
-        cov = centered.T @ centered / (n - 1)
-    _check_finite(cov, "covariance: its values are too large to square")
+        cov = check_columns(centered.T @ centered / (n - 1), "covariance")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
@@ -206,7 +192,7 @@ def itq_fit(dataset, l: int, iterations: int = DEFAULT_ITQ_ITERATIONS, rotation_
     exact minimizer, so the recorded quantization loss never increases.
     """
     requested = l
-    mean, W_pca, centered = _pca(_rows(dataset), l)
+    mean, W_pca, centered = _pca(as_rows(dataset), l)
     rank = W_pca.shape[1]
     V = centered @ W_pca
     del centered  # the alternation below needs only V

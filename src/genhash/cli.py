@@ -9,7 +9,7 @@ abort. Commands that read a checkpoint use the model's hasher surface
 model's width and centred by the SGH checkpoint's mean.
 
 train, encode and baseline read their data a row block at a time
-(model.Rows), as float64 upcast, scaled and centred on the way.
+(a data_io.Dataset), as float64 upcast, scaled and centred on the way.
 groundtruth, and eval's query rows, take the whole float64 matrix.
 """
 
@@ -24,7 +24,7 @@ from .baselines import itq_fit, pca_fit, PcaModel
 from .codes import CODE_DOMAINS, ZERO_ONE, HashCode
 from .errors import CapabilityError, FormatError, InputError, TrainingError
 from .model import encode_map_batch  # a patch point in bench/timing.py PATCH_POINTS
-from .model import ModelParams, Rows
+from .model import ModelParams
 from .training import TrainConfig, exact_grad_check, train
 
 EXIT_OK = 0
@@ -69,13 +69,13 @@ def _load_data(path: str, fmt: str, seed: int) -> data_io.Dataset:
 
 
 def _load_model_and_rows(ckpt: str, path: str, fmt: str, seed: int, expect_kind=None):
-    """A checkpoint's model and the data rows it takes, as a model.Rows of
-    (N, model.d) rows less the SGH checkpoint's mean if it has one; an empty
-    file gives (0, d)."""
+    """A checkpoint's model and the data rows it takes: the (N, model.d)
+    dataset less the SGH checkpoint's mean if it has one; an empty file
+    gives (0, d)."""
     model, mean = data_io.load_checkpoint(ckpt, expect_kind)
     dataset = _load_data(path, fmt, seed)
-    stored = dataset.stored if dataset.n else np.empty((0, model.d))
-    return model, model._rows(Rows(stored, dataset.scale, mean))
+    rows = dataset if dataset.n else data_io.Dataset(np.empty((0, model.d)))
+    return model, model._rows(rows.with_mean(mean))
 
 
 def cmd_train(args) -> int:

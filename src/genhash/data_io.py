@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import ItqModel, PcaModel
 from .codes import CODE_DOMAINS, check_words, n_words
 from .errors import FormatError, InputError
-from .model import ModelParams, Rows, block_rows, column_sums, row_blocks
+from .model import ModelParams, Rows, block_rows, check_columns, column_sums, row_blocks
 
 CHECKPOINT_MAGIC = b"GHCKPT\x00\x00"
 CHECKPOINT_VERSION = 1
@@ -90,10 +90,10 @@ class Dataset(Rows):
         self.source = source
 
     @classmethod
-    def _checked(cls, stored, source: str, scale=None, mean=None) -> "Dataset":
+    def _checked(cls, stored, source: str, scale=None) -> "Dataset":
         """A Dataset of values already checked, built without another pass over them."""
         dataset = cls.__new__(cls)
-        Rows.__init__(dataset, stored, scale, mean)
+        Rows.__init__(dataset, stored, scale)
         dataset.source = source
         return dataset
 
@@ -102,15 +102,15 @@ class Dataset(Rows):
         return self.matrix()
 
     def centered(self) -> "Dataset":
-        """Subtract the column means (model.column_sums, a row block at a
-        time); the removed mean rides along. The stored values are shared,
-        not copied: the mean comes off each row as it is read."""
+        """Subtract the column means (model.column_sums, model.check_columns);
+        the removed mean rides along. The stored values are shared, not
+        copied: the mean comes off each row as it is read."""
         base = self if self.mean is None else Dataset(self.rows, source=self.source)
-        with np.errstate(invalid="ignore"):  # no rows: 0 / 0
+        with np.errstate(over="ignore", invalid="ignore"):  # no rows: 0 / 0
             mean = column_sums(base) / base.n
-        if base.n and not np.isfinite(mean).all():
-            raise InputError("dataset contains non-finite values")
-        return Dataset._checked(base.stored, self.source, base.scale, mean)
+            if base.n:
+                check_columns(mean, "mean")
+        return base.with_mean(mean)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +304,12 @@ _TAG_KINDS = {tag: kind for kind, (tag, _, _) in _LAYOUTS.items()}
 
 
 def save_checkpoint(path, model, center_mean=None):
-    """Serialize a model (with optional preprocessing mean) to a binary file."""
+    """Serialize a model (an SGH model with an optional centre mean) to a binary file."""
     kind = next((k for k, (_, cls, _) in _LAYOUTS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise InputError(f"cannot checkpoint model of type {type(model).__name__}")
+    if center_mean is not None and kind != KIND_SGH:
+        raise InputError(f"a {kind} checkpoint holds no centre mean; only SGH models are centred")
     model._check()
     d, l = model.d, model.l
     mean = np.zeros(d) if center_mean is None else center_mean
@@ -369,6 +371,11 @@ def load_checkpoint(path, expect_kind=None):
     elif kind == KIND_ITQ:
         values["iterations"] = int(extra)
     centred, mean = values.pop("centred", 0), values.pop("center_mean", None)
+    # the only flag and mean bytes save_checkpoint writes, so a load is bit-exact
+    if centred > 1:
+        raise FormatError(f"{path}: bad centred flag byte {centred}, expected 0 or 1")
+    if not centred and mean is not None and mean.view(np.uint64).any():
+        raise FormatError(f"{path}: an uncentred checkpoint holds a non-zero centre mean")
     try:
         return _LAYOUTS[kind][1](**values), (mean if centred else None)
     except InputError as err:

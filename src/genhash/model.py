@@ -14,7 +14,10 @@ Written once here: Hasher's input checks for every model, the decoder mean
 ModelParams.decode_batch, loss_terms, the batched loss terms that
 loss_bits, code_log_q and the training step use, sign_blocks, the MAP
 sign rule of every batch encoder, and Rows, the one source of float64 data
-rows. sign_blocks projects and thresholds one row block (row_blocks) at a
+rows, with as_rows, its one (N, d) data-matrix check, _column_reduce, the
+one column reduction in numpy's order (column_sums, column_std), and
+check_columns, the one finiteness check of a column statistic.
+sign_blocks projects and thresholds one row block (row_blocks) at a
 time. The encoders pack each block into the output words as it comes
 (sign_words), so encoding N rows holds the packed words and one block:
 about 1 MB of float64 projections and its bools, never the whole (N, l)
@@ -29,6 +32,7 @@ encoder's block is sized by l, so its converted rows are block_rows(l) to
 most at d = 960, l = 16.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -108,14 +112,6 @@ class Rows:
         """Whether a selection is computed, rather than a view of stored."""
         return self.stored.dtype != np.float64 or self.scale is not None or self.mean is not None
 
-    @property
-    def pairwise(self) -> bool:
-        """Whether numpy sums each column of matrix() pairwise, not row by
-        row: the column is the contiguous run (d = 1, Fortran order).
-        Conversion keeps the layout of stored."""
-        row_stride, col_stride = (abs(stride) for stride in self.stored.strides)
-        return self.d == 1 or 0 < row_stride < col_stride
-
     def take(self, sel, out=None) -> np.ndarray:
         """rows[sel], written into the float64 array out when one is given."""
         rows = self.stored[sel]
@@ -162,35 +158,91 @@ class Rows:
         """The whole (N, d) float64 matrix: stored itself, or a new array."""
         return self.take(slice(None)) if self.converts else self.stored
 
+    def with_mean(self, mean) -> "Rows":
+        """The same stored values, scale and class, less mean instead."""
+        rows = copy.copy(self)
+        rows.mean = mean
+        return rows
+
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix(), dtype=dtype, copy=copy)
 
 
 def as_rows(X) -> Rows:
     """X as a Rows: X itself if it is one (a data_io.Dataset is), else its
-    float64 matrix."""
-    return X if isinstance(X, Rows) else Rows(np.asarray(X, dtype=np.float64))
+    float64 matrix. InputError unless it is 2-D: the one data-matrix check."""
+    rows = X if isinstance(X, Rows) else Rows(np.asarray(X, dtype=np.float64))
+    if len(rows.shape) != 2:
+        raise InputError(f"expected an (N, d) data matrix, got shape {rows.shape}")
+    return rows
+
+
+def check_columns(stat: np.ndarray, name: str) -> np.ndarray:
+    """stat, a (d,) or (d, d) statistic called name of the data columns, if
+    it is finite, else an InputError naming the first column where it is
+    not. Callers take stat under np.errstate(over="ignore", invalid="ignore"),
+    so values too large to sum or square fail here, not as a warning."""
+    bad = np.flatnonzero(~np.isfinite(stat.reshape(len(stat), -1)).all(axis=1))
+    if bad.size:
+        raise InputError(
+            f"dataset column {bad[0]} has a non-finite {name}: it holds NaN or inf, "
+            "or values too large to sum or square"
+        )
+    return stat
 
 
 def column_sums(rows: Rows) -> np.ndarray:
-    """matrix().sum(axis=0), byte for byte, without the matrix when rows
-    converts.
+    """matrix().sum(axis=0), byte for byte (_column_reduce)."""
+    return _column_reduce(rows)
 
-    numpy adds the rows of a row-major matrix in order, so the sums are
-    taken one row_blocks block at a time in a buffer whose row 0 carries
-    each column's running sum, the block converted into the rows after it.
-    Where numpy sums a column pairwise (pairwise), a column cannot be split
-    without changing that order, so the whole matrix is summed: at d = 1 one
-    column of N float64s.
+
+def column_std(rows) -> np.ndarray:
+    """rows.std(axis=0) of an (N, d) float64 matrix or Rows, byte for byte:
+    as numpy, the column sums over N give the mean, and the column sums of
+    the squared deviations over N give the variance (_column_reduce)."""
+    rows = as_rows(rows)
+    sq = _column_reduce(rows, column_sums(rows) / rows.n)
+    return np.sqrt(np.divide(sq, rows.n, out=sq), out=sq)
+
+
+def _column_reduce(rows: Rows, centre=None) -> np.ndarray:
+    """The column sums of matrix(), or with centre those of its squared
+    deviations (x - centre)**2, in numpy's summation order.
+
+    numpy's sum follows the layout. Where the column axis has the smaller
+    stride (C order, a row view such as X[::2], a file's records) it adds
+    the rows in order, so the terms are formed one row_blocks block at a
+    time in a buffer whose row 0 carries each column's running sum. Where a
+    column is the contiguous run (d = 1, Fortran order; conversion keeps
+    the layout) numpy sums it pairwise, which no split of a column keeps:
+    the sums are those of matrix(), and the squares are formed a few whole
+    columns at a time (about BLOCK_BYTES, at least one column of N float64s,
+    at d = 1 as large as the rows).
     """
-    if not rows.converts or rows.pairwise:
+    n, d = rows.shape
+    row_stride, col_stride = (abs(stride) for stride in rows.stored.strides)
+    pairwise = d == 1 or 0 < row_stride < col_stride
+    if centre is None and (pairwise or not rows.converts):
         return rows.matrix().sum(axis=0)
-    bounds = row_blocks(rows.n, block_rows(rows.d))
-    buf = np.empty((max(b - a for a, b in bounds) + 1, rows.d))
-    sums = np.full(rows.d, -0.0)  # -0.0 + y is y for every y, so the first block adds from 0
+    if pairwise:
+        matrix, sq = rows.matrix(), np.empty(d)
+        width = max(1, BLOCK_BYTES // (8 * n))
+        buf = np.empty((n, min(width, d)), order="F")  # columns contiguous, as numpy's
+        for a in range(0, d, width):
+            dev = buf[:, : min(width, d - a)]
+            np.square(np.subtract(matrix[:, a : a + width], centre[a : a + width], out=dev), out=dev)
+            sq[a : a + width] = dev.sum(axis=0)
+        return sq
+    bounds = row_blocks(n, block_rows(d))
+    buf = np.empty((max(b - a for a, b in bounds) + 1, d))
+    sums = np.full(d, -0.0)  # -0.0 + y is y for every y, so the first block adds from 0
     for a, b in bounds:
         buf[0] = sums
-        rows.take(slice(a, b), out=buf[1 : b - a + 1])
+        block = buf[1 : b - a + 1]
+        if centre is None:
+            rows.take(slice(a, b), out=block)
+        else:
+            np.square(np.subtract(rows[a:b], centre, out=block), out=block)
         np.add.reduce(buf[: b - a + 1], axis=0, out=sums)
     return sums
 
@@ -238,7 +290,7 @@ class Hasher:
 
     def _rows(self, X) -> Rows:
         X = as_rows(X)
-        if len(X.shape) != 2 or X.d != self.d:
+        if X.d != self.d:
             raise InputError(f"expected (N, {self.d}) data matrix, got {X.shape}")
         return X
 

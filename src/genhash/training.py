@@ -40,18 +40,16 @@ import numpy as np
 from .codes import ZERO_ONE, HashCode, bits_to_values, check_length
 from .errors import CapabilityError, InputError, TrainingError
 from .model import (
-    BLOCK_BYTES,
     ModelParams,
     as_rows,
-    block_rows,
+    check_columns,
     clamp_probs,
     code_log_q,
-    column_sums,
+    column_std,
     encode_probs,
     enumerate_codes,
     exact_objective,
     loss_terms,
-    row_blocks,
     sigmoid,
 )
 
@@ -366,48 +364,6 @@ class TrainingLog:
                 f.write(f"{step},{wloss!r},{wrec!r},{lr_t!r},{wall!r}\n")
 
 
-def column_std(rows) -> np.ndarray:
-    """rows.std(axis=0) of an (N, d) float64 matrix or model.Rows, byte for
-    byte, without an (N, d) temporary.
-
-    numpy takes the column mean as rows.sum(axis=0) / N (model.column_sums),
-    sums the squared deviations (x - mean)**2 down each column, divides by
-    N and takes the root. Its sum follows the layout. Where the column axis
-    has the smaller stride (C order, a row view such as X[::2], a Rows of a
-    vector file) it adds the rows in order; the squares are formed one
-    model.row_blocks block at a time in a buffer whose row 0 carries each
-    column's running sum, so the blocked sum adds in that order. Where a
-    column is the contiguous run (Rows.pairwise: d = 1, Fortran order)
-    numpy sums it pairwise, so the squares are formed a few whole columns
-    at a time (about BLOCK_BYTES) and summed the same way. A column cannot
-    be split there without changing that order, so past BLOCK_BYTES / 8
-    rows the temporary is one column of N float64s: at d = 1 as large as
-    the rows, which is numpy's own (N, d) temporary.
-    """
-    rows = as_rows(rows)
-    n, d = rows.shape
-    mean = column_sums(rows) / n
-    if rows.pairwise:
-        matrix = rows.matrix()
-        sq = np.empty(d)
-        width = max(1, BLOCK_BYTES // (8 * n))
-        buf = np.empty((n, min(width, d)), order="F")  # columns contiguous, as numpy's
-        for a in range(0, d, width):
-            dev = buf[:, : min(width, d - a)]
-            np.square(np.subtract(matrix[:, a : a + width], mean[a : a + width], out=dev), out=dev)
-            sq[a : a + width] = dev.sum(axis=0)
-    else:
-        bounds = row_blocks(n, block_rows(d))
-        buf = np.empty((max(b - a for a, b in bounds) + 1, d))
-        sq = np.full(d, -0.0)  # -0.0 + y is y for every y, so the first block adds from 0
-        for a, b in bounds:
-            buf[0] = sq
-            dev = buf[1 : b - a + 1]
-            np.square(np.subtract(rows[a:b], mean, out=dev), out=dev)
-            np.add.reduce(buf[: b - a + 1], axis=0, out=sq)
-    return np.sqrt(np.divide(sq, n, out=sq), out=sq)
-
-
 def init_params(rows, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Seeded initialization.
 
@@ -416,22 +372,16 @@ def init_params(rows, config: TrainConfig, rng: np.random.Generator) -> ModelPar
     by the mean per-dimension data standard deviation (decoder roughly inverts
     encoder); prior logits are zero (maximum-entropy prior); log_rho is the
     log of that same mean standard deviation (1 where that mean is 0). The
-    spread comes from column_std: the column sums, then the squared
-    deviations in row blocks of about 1 MB, with no (N, d) temporary
-    (except at d = 1 and in Fortran order; see column_std). A
-    column whose spread is not finite (NaN or inf in the rows, or values
-    too large to square) is an InputError, raised before any parameter is
-    drawn.
+    spread comes from model.column_std, in row blocks of about 1 MB with no
+    (N, d) temporary (except at d = 1 and in Fortran order). A column whose
+    spread is not finite (NaN or inf in the rows, or values too large to
+    square) is an InputError (model.check_columns), raised before any
+    parameter is drawn.
     """
-    d = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         spread = column_std(rows)
-    bad = np.flatnonzero(~np.isfinite(spread))
-    if bad.size:
-        raise InputError(
-            f"dataset column {bad[0]} has a non-finite spread: it holds NaN or inf, "
-            "or values too large to square"
-        )
+    check_columns(spread, "spread")
+    d = len(spread)
     data_std = float(spread.mean())
     if data_std <= 0.0:
         data_std = 1.0
@@ -455,8 +405,10 @@ def train(dataset, config: TrainConfig, window: int = LOG_WINDOW):
     so a vector file is never upcast whole.
     """
     rows = as_rows(dataset)
-    if len(rows.shape) != 2 or 0 in rows.shape:
+    if 0 in rows.shape:
         raise InputError(f"dataset must be a non-empty (N, d) matrix with d >= 1, got {rows.shape}")
+    if window < 1:
+        raise InputError(f"log window must be >= 1 step, got {window}")
     n = rows.shape[0]
     if config.batch_size > n:
         raise InputError(f"batch_size {config.batch_size} exceeds dataset size {n}")

@@ -396,6 +396,50 @@ def test_save_checkpoint_rejects_wrong_block_shape(tmp_path, rng, kind):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind", [KIND_ITQ, KIND_PCA])
+def test_save_checkpoint_refuses_a_centre_mean_for_a_baseline(tmp_path, rng, kind):
+    # only an SGH checkpoint holds a centre mean: a baseline's would load back as None
+    model = checkpoint_model(kind, rng)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(InputError, match="holds no centre mean"):
+        save_checkpoint(path, model, center_mean=rng.normal(size=model.d))
+    assert not path.exists()
+
+
+def _reseal_payload(path, edits):
+    """Set a checkpoint's payload bytes {offset: byte} and write a checksum that fits."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + _CHECKPOINT_HEAD.size
+    payload = bytearray(raw[start : -struct.calcsize("<Q")])
+    for at, byte in edits.items():
+        payload[at] = byte
+    path.write_bytes(raw[:start] + bytes(payload) + struct.pack("<Q", fnv1a_64(bytes(payload))))
+
+
+def test_checkpoint_centred_flag_and_mean_are_only_what_save_writes(tmp_path, rng):
+    # the SGH payload ends with the centred flag byte and the (d,) centre mean;
+    # behind a recomputed checksum, a flag other than 0 or 1, or any mean byte
+    # under flag 0, would load into a model that does not save back the same
+    d, l = 4, 3
+    flag = 8 * (2 * d * l + l + 1)  # W, U, beta, log_rho
+    path, out = tmp_path / "model.ckpt", tmp_path / "out"
+    data = ["--data", f"n=6,d={d},clusters=2,spread=1.0", "--format", "synth"]
+    for centred, edits, message in [
+        (True, {flag: 7}, "centred flag byte 7"),
+        (True, {flag: 0}, "non-zero centre mean"),
+        (False, {flag + 8 * d: 0x80}, "non-zero centre mean"),  # -0.0 as the last mean value
+        (False, {flag + 1: 0x01}, "non-zero centre mean"),  # the smallest subnormal as the first
+    ]:
+        save_checkpoint(path, random_params(rng, d, l), rng.normal(size=d) if centred else None)
+        _reseal_payload(path, {})
+        assert (load_checkpoint(path)[1] is not None) == centred  # resealed unchanged, it loads
+        _reseal_payload(path, edits)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+        assert main(["encode", "--ckpt", str(path), *data, "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 # checkpoints whose header sizes no model takes: d = 0, l = 0, l over the code
 # cap, or a negative ITQ iteration count. The writer refuses them, so they
 # are written by hand: header, a zero payload of the size it names, checksum.

@@ -5,6 +5,7 @@ still fails closed, and no command holds the file as a float64 matrix."""
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from genhash.cli import main
 from genhash.data_io import (
     Dataset,
     _vec_record,
+    read_mnist_idx,
     read_packed_codes,
     save_checkpoint,
     write_bvecs,
     write_fvecs,
     write_packed_codes,
 )
+from genhash.errors import InputError
 from genhash.model import Rows, block_rows, column_sums
 from genhash.training import TrainConfig, column_std, train
 
@@ -134,6 +137,34 @@ def test_dataset_mean_comes_off_each_row_and_centering_copies_nothing(rng):
     assert centered[[7, 3, 7]].tobytes() == (X - mean)[[7, 3, 7]].tobytes()
     with pytest.raises(TypeError):  # only centered() sets a mean, so rows are centred once
         Dataset(centered.rows, mean=mean)
+
+
+def test_centring_finite_rows_whose_mean_overflows_names_the_column_without_a_warning():
+    # the values are finite, so only the mean's check can say what is wrong
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^dataset column 0 has a non-finite mean: .* too large to sum"):
+            Dataset(np.full((3, 2), 1e308)).centered()
+
+
+def test_a_new_mean_keeps_the_stored_values_scale_and_class(tmp_path, rng):
+    path, X = _data_file(tmp_path, "idx", 9, 3, rng)
+    dataset, mean = read_mnist_idx(path), rng.normal(size=3)
+    centred = dataset.with_mean(mean)
+    assert type(centred) is Dataset and centred.source == dataset.source
+    assert centred.stored is dataset.stored and centred.scale == 255.0 and dataset.mean is None
+    assert centred.rows.tobytes() == (X - mean).tobytes()
+    assert centred.with_mean(None).rows.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+def test_every_data_matrix_taker_refuses_what_is_not_2_d(rng, shape):
+    X = rng.normal(size=shape)
+    params = random_params(rng, 4, 3)
+    for take in (params.encode_batch, lambda X: pca_fit(X, 1), lambda X: itq_fit(X, 1),
+                 lambda X: train(X, TrainConfig(steps=1, bits=2, batch_size=1)), column_std):
+        with pytest.raises(InputError, match=r"^expected an \(N, d\) data matrix"):
+            take(X)
 
 
 def _faulty_file(tmp_path, fmt, fault, rng, n=25_003, d=16):

@@ -562,6 +562,13 @@ def test_train_rejects_data_without_rows_or_columns(shape):
         train(np.zeros(shape), TrainConfig(steps=1, bits=2, batch_size=2))
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_train_rejects_a_log_window_under_one_step(window):
+    # a log window is a positive number of steps
+    with pytest.raises(InputError, match="log window must be >= 1"):
+        train(synth_mixture(50, 4, 2, 1.0, 3), TrainConfig(steps=3, bits=2, batch_size=5), window)
+
+
 def test_train_loss_windows_mostly_non_increasing():
     data = synth_mixture(2000, 16, 5, 1.0, 21)
     rows = data.centered()
