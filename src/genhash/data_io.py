@@ -278,12 +278,70 @@ def synth_mixture(n: int, d: int, n_clusters: int, spread: float, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
+_MASK64 = (1 << 64) - 1
+_FNV_BLOCK = 1 << 16  # bytes that fnv1a_64 hashes per step
+_WORD_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
+
+
+def _fnv_powers(m: int) -> np.ndarray:
+    """FNV_PRIME ** i mod 2**64 for i = 0..m, as uint64, by doubling."""
+    powers = np.ones(m + 1, np.uint64)
+    filled = 1
+    while filled <= m:
+        step = min(filled, m + 1 - filled)
+        top = int(powers[filled - 1]) * FNV_PRIME & _MASK64  # FNV_PRIME ** filled
+        np.multiply(powers[:step], top, out=powers[filled : filled + step])
+        filled += step
+    return powers
+
+
+def _xor_before(t: np.ndarray) -> np.ndarray:
+    """Words whose bit j is the XOR of bits 0..j-1 of the little-endian
+    uint64 words t (bit j in word j // 64 at position j % 64)."""
+    w = t.copy()
+    for shift in _WORD_SHIFTS:  # prefix XOR within each word, by doubling
+        w ^= w << shift
+    parity = np.bitwise_xor.accumulate(w >> np.uint64(63))  # of the words up to each
+    w[1:] ^= np.negative(parity[:-1])  # all ones after an odd parity
+    w ^= t
+    return w
+
+
+def fnv1a_64(data) -> int:
+    """64-bit FNV-1a hash of a bytes-like object, h = ((h ^ b) * FNV_PRIME)
+    mod 2**64 per byte b from h = FNV_OFFSET, computed a block at a time.
+
+    It is bit for bit the byte loop. XOR with a byte changes only the low
+    byte L of h, so h ^ b = h + e with e = (L ^ b) - L, and after n bytes
+    h = h_0 P**n + sum_j e_j P**(n - j) mod 2**64: a uint64 dot product,
+    which wraps. The low bytes follow L' = ((L ^ b) * 0xB3) mod 256
+    (0xB3 = FNV_PRIME mod 256, odd), so bit k of L' is bit k of L XOR bit k
+    of ((L mod 2**k) ^ b) * 0xB3: given L's lower bits, each bit plane of
+    the L's is a prefix XOR, taken over packed words (_xor_before).
+    """
+    data = np.frombuffer(data, np.uint8)
+    powers = _fnv_powers(min(len(data), _FNV_BLOCK))
     h = FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, len(data), _FNV_BLOCK):
+        b = data[start : start + _FNV_BLOCK]
+        m = len(b)
+        low = np.zeros(m, np.uint8)  # the L before each byte, one bit plane at a time
+        x = np.empty(m, np.uint8)
+        t = np.zeros(n_words(m), "<u8")  # the plane's L' ^ L bits, packed
+        t_bytes = t.view(np.uint8)[: (m + 7) // 8]
+        for k in range(8):
+            np.bitwise_xor(low, b, out=x)
+            x *= 0xB3
+            x &= 1 << k
+            t_bytes[:] = np.packbits(x, bitorder="little")
+            plane = _xor_before(t)
+            if h >> k & 1:
+                np.invert(plane, out=plane)
+            plane = np.unpackbits(plane.view(np.uint8), count=m, bitorder="little")
+            plane <<= k
+            low |= plane
+        e = (low ^ b).astype(np.int64) - low
+        h = (h * int(powers[m]) + int(np.dot(e.view(np.uint64), powers[m:0:-1]))) & _MASK64
     return h
 
 

@@ -68,6 +68,13 @@ def row_blocks(n: int, block: int) -> list:
     short, because numpy computes a one-row product as a dot product and
     OpenBLAS some products of at most 100**3 multiply-adds with a
     small-matrix kernel, each in yet another order.
+
+    One case breaks this: a one-column product (l = 1, a dgemv) over more
+    than 262,144 rows under 2 BLAS threads. OpenBLAS then splits the whole
+    product at half its rows, and the rows before that split take the tail
+    order too, so a few projections differ from the blocked ones in their
+    last bit (ROADMAP items 8 and 11: no dgemv over data rows, and outputs
+    that do not depend on the thread count).
     """
     groups = n // 4
     count = max(1, groups // (block // 4))

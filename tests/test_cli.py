@@ -518,3 +518,62 @@ def test_eval_query_truth_count_mismatch_exits_2_before_any_search(tmp_path, mon
     assert run("eval", "--codes", codes, "--truth", truth, *queried, "--k", "5",
                "--out", out) == 2
     assert searched == [] and not out.exists()
+
+
+def _fvecs_and_checkpoint(tmp_path):
+    """A small fvecs file and an 8-bit checkpoint trained on it."""
+    data, ckpt = tmp_path / "x.fvecs", tmp_path / "m.ckpt"
+    data_io.write_fvecs(data, np.random.default_rng(3).normal(size=(40, 6)))
+    assert run("train", "--data", data, "--format", "fvecs", "--bits", "8", "--steps", "1",
+               "--batch", "20", "--out", ckpt) == 0
+    return data, ckpt
+
+
+@pytest.mark.parametrize("case", ["encode --out", "encode --ckpt", "encode --data",
+                                  "train --log", "encode --out file/x"])
+def test_a_directory_or_a_path_through_a_file_exits_2(tmp_path, capsys, case):
+    data, ckpt = _fvecs_and_checkpoint(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    command, flag = case.split()[:2]
+    paths = {"--data": data, "--ckpt": ckpt, "--out": tmp_path / "c.codes"}
+    if command == "train":
+        paths = {"--data": data, "--out": tmp_path / "n.ckpt", "--log": tmp_path / "log.csv"}
+        extra = ["--bits", "8", "--steps", "1", "--batch", "20"]
+    else:
+        extra = []
+    # IsADirectoryError for a directory, NotADirectoryError for a path through a file
+    paths[flag] = data / "x" if case.endswith("file/x") else folder
+    argv = [command, "--format", "fvecs", *extra]
+    for name, path in paths.items():
+        argv += [name, path]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_dispatches_by_name_on_one_parser(tmp_path, monkeypatch, capsys):
+    from genhash import cli
+
+    data, ckpt = _fvecs_and_checkpoint(tmp_path)  # main has run once
+    out = tmp_path / "c.codes"
+    encode = ["encode", "--ckpt", ckpt, "--data", data, "--format", "fvecs", "--out", out]
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
+    # a cmd_* function replaced after the parser exists is the one that runs
+    with monkeypatch.context() as patch:
+        seen = []
+        patch.setattr(cli, "cmd_encode", lambda args: seen.append(args.out) or 0)
+        assert run(*encode) == 0
+        assert seen == [str(out)] and not out.exists()
+    # an argparse error leaves the parser fit for the next command
+    with pytest.raises(SystemExit) as exc:
+        run("encode")
+    assert exc.value.code == 2
+    assert run(*encode) == 0 and out.exists()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run("encode", "--help")
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--ckpt" in helps[0]

@@ -122,3 +122,20 @@ def test_pack_unpack_bitwise_equal_reference(l, lead):
         assert np.array_equal(pack_bits(value), padded_pack_bits(value)), value.dtype
     if bits.size:  # a nested list of no rows has no bit axis
         assert np.array_equal(pack_bits(bits.tolist()), packed)
+
+
+@pytest.mark.parametrize("l", [1, 7, 8, 13, 32, 64, 65, 130, 4096])
+def test_multiply_shift_pack_equals_packbits_reference(l):
+    rng = np.random.default_rng(l)
+    for shape in ((l,), (37, l), (0, l)):
+        bits = rng.random(shape) < 0.5
+        wide = rng.random(shape[:-1] + (2 * l,)) < 0.5
+        values = rng.normal(size=shape)
+        values[..., ::3] = np.nan  # on
+        values[..., 1::3] = -0.0  # off
+        inputs = (bits, wide[..., ::2], wide[..., 1::2], np.asfortranarray(bits),
+                  np.ones(shape, bool), values, values[::-1])
+        for value in inputs:
+            packed = pack_bits(value)
+            assert packed.dtype == np.uint64 and packed.shape == shape[:-1] + (n_words(l),)
+            assert np.array_equal(packed, _reference_pack_bits(value))

@@ -280,6 +280,58 @@ def test_fnv1a_known_vectors():
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
 
 
+def _fnv1a_64_loop(data) -> int:
+    """FNV-1a one byte per step: the definition fnv1a_64 computes a block at a time."""
+    h = 0xCBF29CE484222325
+    for byte in bytes(data):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def test_fnv1a_equals_the_byte_loop(tmp_path):
+    rng = np.random.default_rng(7)
+    # every length to 200, a pipeline-size SGH payload, and lengths around
+    # the 64 KB block, on random, all-0x00 and all-0xFF bytes
+    for n in [*range(201), 16_943, 65_535, 65_536, 65_537, 100_003]:
+        for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(), bytes(n), b"\xff" * n):
+            assert fnv1a_64(data) == _fnv1a_64_loop(data), (n, data[:1])
+    # each bytes-like input, and a read-only map viewed at an odd offset as
+    # load_checkpoint passes its payload
+    data = rng.integers(0, 256, 100_003, dtype=np.uint8).tobytes()
+    path = tmp_path / "bytes"
+    path.write_bytes(b"x" * 30 + data)
+    mapped = memoryview(np.memmap(path, dtype=np.uint8, mode="r"))[30:]
+    want = _fnv1a_64_loop(data)
+    for view in (data, bytearray(data), memoryview(data), mapped):
+        assert fnv1a_64(view) == want, type(view)
+        assert fnv1a_64(view[:16_943]) == _fnv1a_64_loop(data[:16_943]), type(view)
+
+
+def test_checkpoint_at_gist_scale_is_bit_exact_and_catches_one_flipped_byte(tmp_path, rng):
+    # d = 960, l = 64: an SGH payload of about 1 MB, past the byte sweep's sizes
+    params = random_params(rng, 960, 64)
+    mean = rng.normal(size=960)
+    path = tmp_path / "gist.ckpt"
+    save_checkpoint(path, params, center_mean=mean)
+    raw = path.read_bytes()
+    start, end = len(CHECKPOINT_MAGIC) + _CHECKPOINT_HEAD.size, len(raw) - 8  # the payload
+    assert end - start == 2 * 960 * 64 * 8 + 64 * 8 + 8 + 1 + 960 * 8
+    assert struct.unpack("<Q", raw[end:])[0] == _fnv1a_64_loop(raw[start:end])
+    loaded, loaded_mean = load_checkpoint(path)
+    for name in ModelParams.BLOCKS:
+        assert np.array_equal(getattr(loaded, name), getattr(params, name)), name
+    assert np.array_equal(loaded_mean, mean)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, loaded, center_mean=loaded_mean)
+    assert again.read_bytes() == raw
+    for offset in (start, (start + end) // 2, end - 1):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError, match="checksum"):
+            load_checkpoint(path)
+
+
 @pytest.mark.parametrize("domain", ["zero-one", PLUS_MINUS])
 def test_checkpoint_round_trip_model(tmp_path, rng, domain):
     params = random_params(rng, 6, 5, domain)
