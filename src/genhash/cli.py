@@ -3,13 +3,12 @@ gradcheck, baseline.
 
 Every command is deterministic given its flags (all randomness flows from
 --seed through splittable counter-based generators) and never mutates its
-inputs. Exit codes: 0 ok, 2 input error (any OSError on a path among them:
-a missing file, a directory, a file used as a directory), 3 file-format
-error, 4 training abort.
-
-main parses with one parser per process (build_parser, built on first
-use) and runs the command's cmd_<name> function, looked up in this module
-by name at call time, so a replaced cmd_<name> attribute is the one run.
+inputs. Exit codes: 0 ok, 2 input error, 3 file-format error, 4 training
+abort. An OS error on a path (a missing file, a directory, a path through
+a file, a failed write) is an input error. The output paths (--out,
+--log) are checked before any work, so a command whose output path names
+a directory or lies in no existing directory fails at once and writes
+nothing.
 
 Commands that read a checkpoint use the model's hasher surface
 (encode_batch, reconstruct_batch, templates) on data checked against the
@@ -21,7 +20,7 @@ groundtruth, and eval's query rows, take the whole float64 matrix.
 """
 
 import argparse
-import functools
+import os
 import sys
 
 import numpy as np
@@ -245,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", default=None, help="training log CSV path")
     _add_common(p)
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("encode", help="MAP-encode a dataset with a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -252,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=_READERS)
     p.add_argument("--out", required=True, help="packed-code output path")
     _add_common(p)
+    p.set_defaults(run=cmd_encode)
 
     p = sub.add_parser("groundtruth", help="exact nearest-neighbor lists")
     p.add_argument("--data", required=True)
@@ -262,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True, help="ivecs output path")
     _add_common(p)
+    p.set_defaults(run=cmd_groundtruth)
 
     p = sub.add_parser("eval", help="recall curve from codes + ground truth")
     p.add_argument("--codes", required=True, help="database packed-code file")
@@ -275,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="genhash", help="method label for the CSV")
     p.add_argument("--out", required=True, help="recall CSV output path")
     _add_common(p)
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("reconstruct", help="render originals/reconstructions/templates as PGM")
     p.add_argument("--ckpt", required=True)
@@ -284,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8, help="number of sample columns")
     p.add_argument("--out", required=True, help="PGM output path")
     _add_common(p)
+    p.set_defaults(run=cmd_reconstruct)
 
     p = sub.add_parser("gradcheck", help="verify estimator gradients against enumeration")
     p.add_argument("--dim", type=int, default=4)
@@ -292,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-tol", type=float, default=1e-6)
     p.add_argument("--decoder-tol", type=float, default=1e-4)
     _add_common(p)
+    p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("baseline", help="fit an ITQ or PCA baseline")
     p.add_argument("--data", required=True)
@@ -301,20 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--out", required=True)
     _add_common(p)
+    p.set_defaults(run=cmd_baseline)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser (build_parser), built on first use."""
-    return build_parser()
+def _check_output_paths(args):
+    """InputError unless each output path of the command (--out, --log)
+    names a file in an existing directory."""
+    for path in (getattr(args, "out", None), getattr(args, "log", None)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise InputError(f"output path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"output path {path!r} is not in an existing directory")
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        _check_output_paths(args)
+        return args.run(args)
     except TrainingError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TRAINING

@@ -54,28 +54,16 @@ def check_words(words, l: int, ndim: int) -> np.ndarray:
     return words
 
 
-_GATHER_BITS = 0x0102040810204080  # sum of 2**(7 m + 7), m = 0..7
-
-
 def pack_bits(bits) -> np.ndarray:
     """Pack a (..., l) array of bits into (..., ceil(l/64)) uint64 words.
 
-    A bit is on where the entry is nonzero (NaN on, -0.0 off). Eight bools,
-    viewed as one little-endian uint64 x with bool i in bit 8 i, pack to the
-    byte (x * _GATHER_BITS mod 2**64) >> 56 in little bit order: the term
-    of bool i and 2**(7 m + 7) lands at bit 56 + i when i + m = 7, at a
-    distinct bit below 56 (so no carry) when i + m < 7, and past bit 63
-    otherwise. Bools are padded to whole bytes only when l % 8, and the
+    A bit is on where the entry is nonzero (NaN on, -0.0 off). The packed
     ceil(l/8) bytes are placed in zeroed words, so padding bits are zero.
     """
     bits = np.asarray(bits, dtype=bool)
-    l = bits.shape[-1]
-    if l % 8:
-        bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (8 - l % 8,), bool)], axis=-1)
-    gathered = np.ascontiguousarray(bits).view("<u8") * np.uint64(_GATHER_BITS)
-    gathered >>= np.uint64(56)
-    words = np.zeros(bits.shape[:-1] + (n_words(l) * 8,), dtype=np.uint8)
-    words[..., : gathered.shape[-1]] = gathered
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (n_words(bits.shape[-1]) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
     return words.view("<u8")
 
 

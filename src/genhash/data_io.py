@@ -279,7 +279,7 @@ def synth_mixture(n: int, d: int, n_clusters: int, spread: float, seed: int) -> 
 
 
 _MASK64 = (1 << 64) - 1
-_FNV_BLOCK = 1 << 16  # bytes that fnv1a_64 hashes per step
+_FNV_BLOCK = 1 << 15  # bytes hashed per step: one for a 17 KB model, 27 bytes of scratch each
 _WORD_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
 
 
@@ -340,7 +340,9 @@ def fnv1a_64(data) -> int:
             plane = np.unpackbits(plane.view(np.uint8), count=m, bitorder="little")
             plane <<= k
             low |= plane
-        e = (low ^ b).astype(np.int64) - low
+        np.bitwise_xor(low, b, out=x)
+        e = x.astype(np.int64)
+        e -= low
         h = (h * int(powers[m]) + int(np.dot(e.view(np.uint64), powers[m:0:-1]))) & _MASK64
     return h
 

@@ -550,22 +550,35 @@ def test_a_directory_or_a_path_through_a_file_exits_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # an output path error fails before any work: train leaves no checkpoint
+    assert not (tmp_path / "n.ckpt").exists() and not (tmp_path / "c.codes").exists()
 
 
-def test_main_dispatches_by_name_on_one_parser(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_an_output_path_in_no_directory_exits_2_before_training(tmp_path, monkeypatch, flag):
+    from genhash import cli
+
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained before the path check"))
+    paths = {"--out": tmp_path / "m.ckpt", "--log": tmp_path / "log.csv"}
+    paths[flag] = tmp_path / "absent" / "file"
+    assert run("train", "--data", "n=40,d=4", "--format", "synth", "--bits", "4",
+               "--steps", "1", *[a for item in paths.items() for a in item]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_runs_the_current_cmd_and_survives_a_parse_error(tmp_path, monkeypatch, capsys):
     from genhash import cli
 
     data, ckpt = _fvecs_and_checkpoint(tmp_path)  # main has run once
     out = tmp_path / "c.codes"
     encode = ["encode", "--ckpt", ckpt, "--data", data, "--format", "fvecs", "--out", out]
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
-    # a cmd_* function replaced after the parser exists is the one that runs
+    # a cmd_* function replaced after a first main call is the one that runs
     with monkeypatch.context() as patch:
         seen = []
         patch.setattr(cli, "cmd_encode", lambda args: seen.append(args.out) or 0)
         assert run(*encode) == 0
         assert seen == [str(out)] and not out.exists()
-    # an argparse error leaves the parser fit for the next command
+    # an argparse error does not stop the next command in the same process
     with pytest.raises(SystemExit) as exc:
         run("encode")
     assert exc.value.code == 2

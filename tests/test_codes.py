@@ -125,7 +125,7 @@ def test_pack_unpack_bitwise_equal_reference(l, lead):
 
 
 @pytest.mark.parametrize("l", [1, 7, 8, 13, 32, 64, 65, 130, 4096])
-def test_multiply_shift_pack_equals_packbits_reference(l):
+def test_pack_bits_equals_the_reference_on_any_layout(l):
     rng = np.random.default_rng(l)
     for shape in ((l,), (37, l), (0, l)):
         bits = rng.random(shape) < 0.5

@@ -30,7 +30,7 @@ from genhash.data_io import (
     write_ivecs,
     write_packed_codes,
 )
-from genhash.data_io import _CHECKPOINT_HEAD, _CODES_HEAD, _IDX_HEAD
+from genhash.data_io import _CHECKPOINT_HEAD, _CODES_HEAD, _FNV_BLOCK, _IDX_HEAD
 from genhash.errors import FormatError, InputError
 from genhash.model import ModelParams
 
@@ -291,8 +291,9 @@ def _fnv1a_64_loop(data) -> int:
 def test_fnv1a_equals_the_byte_loop(tmp_path):
     rng = np.random.default_rng(7)
     # every length to 200, a pipeline-size SGH payload, and lengths around
-    # the 64 KB block, on random, all-0x00 and all-0xFF bytes
-    for n in [*range(201), 16_943, 65_535, 65_536, 65_537, 100_003]:
+    # the block fnv1a_64 hashes per step, on random, all-0x00 and all-0xFF bytes
+    block = _FNV_BLOCK
+    for n in [*range(201), 16_943, block - 1, block, block + 1, 3 * block + 1, 100_003]:
         for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(), bytes(n), b"\xff" * n):
             assert fnv1a_64(data) == _fnv1a_64_loop(data), (n, data[:1])
     # each bytes-like input, and a read-only map viewed at an odd offset as
