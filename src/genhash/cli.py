@@ -3,12 +3,12 @@ gradcheck, baseline.
 
 Every command is deterministic given its flags (all randomness flows from
 --seed through splittable counter-based generators) and never mutates its
-inputs. Exit codes: 0 ok, 2 input error, 3 file-format error, 4 training
-abort. An OS error on a path (a missing file, a directory, a path through
-a file, a failed write) is an input error. The output paths (--out,
---log) are checked before any work, so a command whose output path names
-a directory or lies in no existing directory fails at once and writes
-nothing.
+inputs. Exit codes: 0 ok, 1 a failed gradient check (gradcheck FAIL), 2
+input error, 3 file-format error, 4 training abort. An OS error on a path
+(a missing file, a directory, a path through a file, a failed write) is an
+input error. The output paths (--out, --log) are checked before any work,
+so a command whose output path names a directory or lies in no existing
+directory fails at once and writes nothing.
 
 Commands that read a checkpoint use the model's hasher surface
 (encode_batch, reconstruct_batch, templates) on data checked against the
@@ -35,6 +35,7 @@ from .model import ModelParams
 from .training import TrainConfig, exact_grad_check, train
 
 EXIT_OK = 0
+EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_FORMAT = 3
 EXIT_TRAINING = 4
@@ -180,6 +181,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.dim < 1 or args.bits < 1:
         raise InputError("--dim and --bits must be >= 1")
+    for flag, tol in (("--w-tol", args.w_tol), ("--decoder-tol", args.decoder_tol)):
+        if not (np.isfinite(tol) and tol >= 0):
+            raise InputError(f"{flag} must be a finite number >= 0, got {tol!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     params = ModelParams(
         rng.normal(size=(args.dim, args.bits)),
@@ -195,7 +199,7 @@ def cmd_gradcheck(args) -> int:
         print("gradcheck PASS")
         return EXIT_OK
     print("gradcheck FAIL")
-    return 1
+    return EXIT_FAIL
 
 
 def cmd_baseline(args) -> int:

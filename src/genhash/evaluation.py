@@ -102,9 +102,12 @@ def recall_curve(queries, searcher, truth_lists, k: int, n_grid=None, config=Non
 
 
 def mean_recon_error(model, dataset) -> float:
-    """Mean squared reconstruction error ||x - reconstruct(encode(x))||^2."""
+    """Mean squared reconstruction error ||x - reconstruct(encode(x))||^2
+    over the (N, d) rows of dataset, N >= 1."""
     X = np.asarray(dataset, dtype=np.float64)
     resid = X - model.reconstruct_batch(X)
+    if not len(resid):
+        raise InputError("need at least one row")
     return float((resid * resid).sum(axis=1).mean())
 
 

@@ -1,12 +1,19 @@
 """Linear-scan retrieval over bit-packed codes, plus exact ground-truth scans.
 
 Hamming distances are popcounts of XORed 64-bit words. All rankings break
-ties by ascending id so results are deterministic. Every top-n goes through
-_select_nearest: it finds the cut score (the n-th smallest) with an O(N)
-partition, keeps every position below the cut plus the lowest ones at the
-cut, and sorts only those n candidates. The float scans reject non-finite
-queries in _finite. Indexes are immutable after construction and queries
-are pure, so batch queries may run in parallel over the query axis.
+ties by ascending id so results are deterministic. Every top-n applies the
+rule of _select_nearest: it finds the cut score (the n-th smallest) with an
+O(N) partition, keeps every position below the cut plus the lowest ones at
+the cut, and sorts only those n candidates. The float scans reject
+non-finite queries in _finite. Indexes are immutable after construction
+and queries are pure, so batch queries may run in parallel over the query
+axis.
+
+The Hamming top-n (_nearest) streams the index in chunks of
+model.BLOCK_BYTES of words, 131,072 one-word codes: each chunk's XOR words
+go into one reused scratch, and a running cut keeps only the codes that
+can still make the top n, so a query holds no (N,) temporary. An index of
+one chunk takes _select_nearest over its distances directly.
 
 The asymmetric scan (_asym_scores) maps one row block of codes at a time to
 their code values with bits_to_values (about 1 MB of float64), so a query
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .codes import MAX_BITS  # the code-length cap, also importable from here
 from .codes import HashCode, bits_to_values, check_words, unpack_bits
 from .errors import InputError
@@ -55,15 +63,44 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
 
 def hamming_scan(index: BinaryIndex, query: HashCode) -> np.ndarray:
     """Hamming distance from the query to every code, as (N,) int32."""
+    _check_query(index, query)
+    codes = index.codes
+    return _scan(codes, query.words, np.empty_like(codes)).astype(np.int32, copy=False)
+
+
+def _check_query(index: BinaryIndex, query: HashCode):
     if query.l != index.l:
         raise InputError(f"query length {query.l} != index length {index.l}")
-    return _scan(index.codes, query.words)
 
 
-def _scan(codes: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _scan(codes: np.ndarray, words: np.ndarray, xor: np.ndarray) -> np.ndarray:
+    """The Hamming distances of codes to words, uint8 for one-word codes
+    (bitwise_count's own type) and int32 for wider ones; xor is uint64
+    scratch of the shape of codes."""
     if codes.shape[1] == 1:
-        return np.bitwise_count(codes[:, 0] ^ words[0]).astype(np.int32)
-    return np.bitwise_count(codes ^ words).sum(axis=1, dtype=np.int32)
+        return np.bitwise_count(np.bitwise_xor(codes[:, 0], words[0], out=xor[:, 0]))
+    np.bitwise_xor(codes, words, out=xor)
+    return np.bitwise_count(xor, out=xor).sum(axis=1, dtype=np.int32)
+
+
+def _chunk_rows(width: int) -> int:
+    """Codes per chunk of the streamed Hamming scan, width words each:
+    model.BLOCK_BYTES of words, 131,072 one-word codes."""
+    return max(1, model.BLOCK_BYTES // (8 * width))
+
+
+def _chunks(codes: np.ndarray, words: np.ndarray):
+    """(start, distances) of each chunk of _chunk_rows codes, in order.
+
+    The XOR words of every chunk go into one uint64 scratch. One-word
+    distances (at most 64) come in bitwise_count's own uint8: a cast to
+    int32 through its out= argument costs about a tenth of the scan.
+    """
+    rows = min(len(codes), _chunk_rows(codes.shape[1]))
+    xor = np.empty((rows, codes.shape[1]), dtype=np.uint64)
+    for a in range(0, len(codes), rows):
+        b = min(a + rows, len(codes))
+        yield a, _scan(codes[a:b], words, xor[: b - a])
 
 
 def _check_n(n: int):
@@ -90,10 +127,65 @@ def _select_nearest(dist: np.ndarray, n: int) -> np.ndarray:
     return part[np.argsort(dist[part], kind="stable")]
 
 
+def _nearest(codes: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n codes nearest to words, ties by position: what
+    _select_nearest picks from the whole scan, streamed one chunk at a time.
+
+    Candidates (positions with their distances) are kept in ascending
+    position. Until n codes have been seen every code is kept. The chunk
+    that completes n sets the running cut: the larger of its own
+    (n - kept)-th smallest distance and the largest kept one, at or above
+    the n-th smallest distance seen, with at least n candidates at or under
+    it. A later chunk keeps only the codes strictly under the cut, since a
+    code at the cut ranks behind those n earlier candidates. When the
+    candidates exceed 4 n, or twice the number the last cut left if that is
+    more, the cut is taken again from them: their n-th smallest distance,
+    and only the candidates at or under it stay. So every code of the true
+    top n stays a candidate, and _select_nearest over the candidates picks
+    it, ties by position. Every distance that reaches a partition is int32,
+    because np.partition is about 25 times slower on uint8.
+    """
+    n = min(n, len(codes))
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    kept, count, cut, limit = [], 0, None, 4 * n
+    for a, dist in _chunks(codes, words):
+        if len(dist) == len(codes):
+            return _select_nearest(dist.astype(np.int32), n)  # one chunk: the whole-array rule
+        if cut is not None:
+            pos = np.flatnonzero(dist < cut)
+        elif count + len(dist) < n:
+            pos = np.arange(len(dist))
+        else:
+            need = n - count - 1
+            own = dist.astype(np.int32)
+            own.partition(need)
+            cut = int(max([own[need], *(near.max() for _, near in kept)]))
+            pos = np.flatnonzero(dist <= cut)
+        kept.append((pos + a, dist[pos].astype(np.int32)))
+        count += len(pos)
+        if count > limit:
+            pos, near = map(np.concatenate, zip(*kept))
+            cut = int(np.partition(near, n - 1)[n - 1])
+            keep = near <= cut
+            kept = [(pos[keep], near[keep])]
+            count = len(kept[0][0])
+            limit = max(4 * n, 2 * count)
+    pos, near = map(np.concatenate, zip(*kept))
+    return pos[_select_nearest(near, n)]
+
+
 def knn_hamming(index: BinaryIndex, query: HashCode, n: int) -> np.ndarray:
-    """Ids of the n nearest codes by Hamming distance, ties by ascending id."""
+    """Ids of the n nearest codes by Hamming distance, ties by ascending id.
+
+    An index of one chunk takes the whole hamming_scan, so the scan stays a
+    patch point of bench/timing.py there; a larger one is streamed.
+    """
     _check_n(n)
-    return index.external_ids(_select_nearest(hamming_scan(index, query), n))
+    if len(index) <= _chunk_rows(index.codes.shape[1]):
+        return index.external_ids(_select_nearest(hamming_scan(index, query), n))
+    _check_query(index, query)
+    return index.external_ids(_nearest(index.codes, query.words, n))
 
 
 def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.ndarray:
@@ -102,7 +194,7 @@ def knn_hamming_batch(index: BinaryIndex, queries: np.ndarray, n: int) -> np.nda
     queries = check_words(queries, index.l, 2)
     out = np.empty((len(queries), min(n, len(index))), dtype=np.int64)
     for row, words in zip(out, queries):
-        row[:] = _select_nearest(_scan(index.codes, words), n)
+        row[:] = _nearest(index.codes, words, n)
     return index.external_ids(out)
 
 

@@ -240,6 +240,24 @@ def test_gradcheck_command():
                "--seed", "8") == 0
 
 
+def test_gradcheck_fail_exits_1(capsys):
+    # no relative error is below a zero tolerance
+    assert run("gradcheck", "--dim", "4", "--bits", "3", "--seed", "8", "--w-tol", "0") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck FAIL"
+
+
+@pytest.mark.parametrize("flag", ["--w-tol", "--decoder-tol"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
+def test_gradcheck_malformed_tolerance_exits_2_before_any_work(capsys, monkeypatch, flag, tol):
+    def no_check(*args, **kwargs):
+        raise AssertionError("the gradient check ran")
+
+    monkeypatch.setattr("genhash.cli.exact_grad_check", no_check)
+    assert run("gradcheck", f"{flag}={tol}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
 def _wrong_width_checkpoint(tmp_path, kind):
     """A checkpoint for d=16 data: centred SGH, ITQ or PCA."""
     data = "n=300,d=16,clusters=3,spread=1.0,seed=7"

@@ -239,6 +239,14 @@ def test_mean_recon_error_rejects_wrong_width(rng, kind):
         model.reconstruct_batch(rng.normal(size=model.d))
 
 
+@pytest.mark.parametrize("kind", ["SGH", "ITQ", "PCA"])
+def test_mean_recon_error_rejects_zero_rows(rng, kind):
+    # the mean of no rows is no error figure: InputError, not NaN with a warning
+    model = checkpoint_model(kind, rng)
+    with pytest.raises(InputError, match="at least one row"):
+        mean_recon_error(model, np.empty((0, model.d)))
+
+
 # ---------------------------------------------------------------------------
 # the hasher surface shared by SGH, ITQ and PCA
 # ---------------------------------------------------------------------------

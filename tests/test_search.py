@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from genhash import model as model_module
+from genhash import search as search_module
 from genhash.codes import PLUS_MINUS, HashCode, bits_to_values, pack_bits, unpack_bits
 from genhash.errors import InputError
 from genhash.model import block_rows as _asym_block_rows
@@ -138,10 +140,9 @@ def _tied_bits(rng, kind, count, l):
     return np.repeat(rng.random((1, l)) < 0.5, count, axis=0)  # all identical
 
 
-@pytest.mark.parametrize("l", [8, 64, 70, 130])
-@pytest.mark.parametrize("kind", ["random", "six-patterns", "identical"])
-@pytest.mark.parametrize("with_ids", [False, True])
-def test_knn_hamming_matches_composite_key_reference(rng, l, kind, with_ids):
+def _check_against_composite_key_reference(rng, l, kind, with_ids, extra_sizes=()):
+    """knn_hamming and knn_hamming_batch on 2000 tied codes against
+    _composite_key_knn, at n around the tie group at the median distance."""
     count = 2000
     bits = _tied_bits(rng, kind, count, l)
     ids = rng.permutation(count) * 3 + 7 if with_ids else None
@@ -152,14 +153,117 @@ def test_knn_hamming_matches_composite_key_reference(rng, l, kind, with_ids):
         dist = hamming_scan(index, query)
         cut = np.sort(dist)[count // 2]
         tie_group = int(np.sum(dist == cut))
-        sizes = {0, 1, tie_group, int(np.sum(dist < cut)) + 1, count, count + 5}
+        sizes = {0, 1, tie_group, int(np.sum(dist < cut)) + 1, count, count + 5, *extra_sizes}
         for n in sorted(sizes):
             expected = _composite_key_knn(index, query, n)
             got = knn_hamming(index, query, n)
             assert np.array_equal(got, expected), (n, tie_group)
-    batch = knn_hamming_batch(index, queries, tie_group)
-    for words, row in zip(queries, batch):
-        assert np.array_equal(row, _composite_key_knn(index, HashCode(words, l), tie_group))
+    for n in (tie_group, *extra_sizes):
+        batch = knn_hamming_batch(index, queries, n)
+        for words, row in zip(queries, batch):
+            assert np.array_equal(row, _composite_key_knn(index, HashCode(words, l), n)), n
+    return index, queries
+
+
+@pytest.mark.parametrize("l", [8, 64, 70, 130])
+@pytest.mark.parametrize("kind", ["random", "six-patterns", "identical"])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_knn_hamming_matches_composite_key_reference(rng, l, kind, with_ids):
+    _check_against_composite_key_reference(rng, l, kind, with_ids)
+
+
+SMALL_CHUNK = 64
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Stream the Hamming top-n in chunks of SMALL_CHUNK codes."""
+    monkeypatch.setattr(search_module, "_chunk_rows", lambda width: SMALL_CHUNK)
+
+
+def test_chunk_rows_are_a_block_of_words(monkeypatch):
+    assert search_module._chunk_rows(1) == 131_072
+    assert search_module._chunk_rows(3) == 43_690
+    monkeypatch.setattr(model_module, "BLOCK_BYTES", 8 * 2 * 100)
+    assert search_module._chunk_rows(2) == 100
+    assert search_module._chunk_rows(201) == 1  # never less than one code
+
+
+@pytest.mark.parametrize("l", [8, 64, 70, 130])
+@pytest.mark.parametrize("kind", ["random", "six-patterns", "identical"])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_streamed_knn_hamming_matches_composite_key_reference(
+    rng, small_chunks, l, kind, with_ids
+):
+    # 31 full chunks and a partial one
+    chunk = SMALL_CHUNK
+    sizes = (chunk - 1, chunk, chunk + 1, 3 * chunk + 1)
+    index, queries = _check_against_composite_key_reference(rng, l, kind, with_ids, sizes)
+    if l % 64:
+        queries[1, -1] |= np.uint64(1 << 63)
+        with pytest.raises(InputError, match="padding"):
+            knn_hamming_batch(index, queries, 3)
+
+
+def _codes_at_distances(dist, l=64):
+    """One-word codes whose distances to the zero query are dist: the low
+    dist[i] bits of code i set."""
+    ones = np.arange(l) < np.asarray(dist)[:, None]
+    return BinaryIndex(pack_bits(ones), l), HashCode(np.zeros(1, dtype=np.uint64), l)
+
+
+@pytest.mark.parametrize(
+    "order", ["ties-straddle-a-boundary", "nearer-in-each-chunk", "cut-group-in-last-chunk"]
+)
+def test_streamed_knn_hamming_ties_across_chunk_boundaries(rng, small_chunks, order):
+    chunk, count = SMALL_CHUNK, 10 * SMALL_CHUNK + 17
+    if order == "ties-straddle-a-boundary":
+        # far codes, then one tie group from chunk 2 through chunk 5
+        dist = np.full(count, 40)
+        dist[2 * chunk - 7 : 5 * chunk + 9] = 12
+        dist[rng.integers(0, count, 20)] = rng.integers(0, 12, 20)
+    elif order == "nearer-in-each-chunk":
+        # distances fall along the positions: every chunk beats the cut
+        dist = np.repeat(np.arange(64, 0, -1), -(-count // 64))[:count]
+    else:
+        dist = np.full(count, 30)
+        dist[-40:] = 3
+        dist[chunk + 5] = 3
+    index, query = _codes_at_distances(dist)
+    for n in (1, 5, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 4 * chunk, count, count + 5):
+        expected = _composite_key_knn(index, query, n)
+        assert np.array_equal(knn_hamming(index, query, n), expected), n
+        assert np.array_equal(knn_hamming_batch(index, query.words[None], n)[0], expected), n
+
+
+@pytest.mark.parametrize("l", [8, 64])
+def test_knn_hamming_over_several_full_size_chunks(rng, l):
+    # 2 full chunks of 131,072 one-word codes and a partial one; biased bits
+    # make ties at the cut common, and 8-bit codes tie heavily
+    count = 300_003
+    bits = rng.random((count, l)) < 0.15
+    index = BinaryIndex(pack_bits(bits), l)
+    for qbits in (rng.random((2, l)) < 0.15):
+        query = HashCode.from_bits(qbits)
+        dist = hamming_scan(index, query)
+        for n in (0, 1, 100, 1000, 131_073, count, count + 5):
+            expected = _select_nearest(dist, n)
+            assert np.array_equal(knn_hamming(index, query, n), expected), n
+
+
+def test_knn_hamming_memory_is_bounded_by_its_chunk(rng):
+    index = BinaryIndex(rng.integers(0, 2**63, size=(1_000_000, 1), dtype=np.uint64), 64)
+    query = HashCode(index.codes[7].copy(), 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        knn_hamming(index, query, 100)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one chunk's XOR words (1 MiB), its distances and their partition copy
+    # (0.5 MiB each); one scan over the whole index would take 8.6 MiB
+    assert peak <= 2.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("l", [8, 64])
